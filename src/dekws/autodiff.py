@@ -10,6 +10,18 @@ average pooling, an affine head, the two losses, and Adam. No broadcasting
 beyond what those ops need, no GPU, no fusion. Activations may be float32
 or float64; losses and Adam moments always accumulate in float64.
 
+Memory order: every op keeps the logical (N, C, L) shape, but conv1d and
+batchnorm1d store activations channel-major, as an (N, C, L) transposed view
+of a C-contiguous (C, N, L) array, and elementwise ops preserve that order;
+their gradients flow back channel-major too. Each channel is then one
+contiguous row of N*L values, so batch-norm statistics reduce contiguous
+rows and conv1d's weight and input-column gradients are single GEMMs over
+all N*L output positions. Inputs in any memory order are accepted: conv1d's
+padding/im2col copy and batchnorm1d's row view absorb the layout, and their
+outputs do not depend on it. The conv1d forward product and linear's einsum
+still run one reduction per example, so eval outputs do not depend on
+batch composition.
+
 A graph must stay on the thread that built it; the grad-enable flag is
 thread-local so concurrent eval and training do not interfere.
 """
@@ -204,13 +216,13 @@ def tsum(x: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    """Elementwise max(0, x); subgradient 0 at exactly 0."""
+    """Elementwise max(0, x); subgradient 0 at exactly 0. NaN propagates."""
     mask = x.data > 0
 
     def backward(g):
         _accumulate(x, g * mask)
 
-    return _node(np.where(mask, x.data, x.data.dtype.type(0)), (x,), backward)
+    return _node(np.maximum(x.data, x.data.dtype.type(0)), (x,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -247,29 +259,41 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
         raise InvalidShapeError(
             f"kernel {k} exceeds padded length {length + 2 * padding}"
         )
-    l_out = (length + 2 * padding - k) // stride + 1
+    l_pad = length + 2 * padding
+    l_out = (l_pad - k) // stride + 1
 
-    xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding))) if padding else xd
-    s0, s1, s2 = xp.strides
-    cols = np.lib.stride_tricks.as_strided(
-        xp, shape=(n, c_in, k, l_out), strides=(s0, s1, s2, stride * s2)
+    xc = xd.transpose(1, 0, 2)
+    if padding:
+        xp = np.zeros((c_in, n, l_pad), dtype=xd.dtype)
+        xp[:, :, padding : padding + length] = xc
+    else:
+        xp = xc
+    s_c, s_n, s_l = xp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xp, shape=(c_in, k, n, l_out), strides=(s_c, s_l, s_n, stride * s_l)
     )
-    cols2 = cols.reshape(n, c_in * k, l_out)
+    cols = np.ascontiguousarray(windows).reshape(c_in * k, n, l_out)
     w2 = wd.reshape(c_out, c_in * k)
-    out = np.matmul(w2, cols2) + bd[None, :, None]
+    out_c = np.empty((c_out, n, l_out), dtype=np.result_type(wd, cols))
+    # One GEMM per example keeps each output's reduction order independent
+    # of the batch it sits in.
+    np.matmul(w2, cols.transpose(1, 0, 2), out=out_c.transpose(1, 0, 2))
+    out_c += bd[:, None, None]
+    out = out_c.transpose(1, 0, 2)
 
     def backward(g):
         if unbatched:
             g = g[None]
-        _accumulate(bias, g.sum(axis=(0, 2)))
-        grad_w = np.tensordot(g, cols2, axes=([0, 2], [0, 2]))
-        _accumulate(weight, grad_w.reshape(wd.shape))
+        g2 = g.transpose(1, 0, 2).reshape(c_out, n * l_out)
+        cols2 = cols.reshape(c_in * k, n * l_out)
+        _accumulate(bias, g2.sum(axis=1))
+        _accumulate(weight, (g2 @ cols2.T).reshape(wd.shape))
         if x.requires_grad:
-            grad_cols = np.matmul(w2.T, g).reshape(n, c_in, k, l_out)
-            grad_xp = np.zeros((n, c_in, length + 2 * padding), dtype=g.dtype)
+            grad_cols = (w2.T @ g2).reshape(c_in, k, n, l_out)
+            grad_xp = np.zeros((c_in, n, l_pad), dtype=grad_cols.dtype)
             for j in range(k):
-                grad_xp[:, :, j : j + stride * l_out : stride] += grad_cols[:, :, j, :]
-            grad_x = grad_xp[:, :, padding : padding + length]
+                grad_xp[:, :, j : j + stride * l_out : stride] += grad_cols[:, j]
+            grad_x = grad_xp[:, :, padding : padding + length].transpose(1, 0, 2)
             _accumulate(x, grad_x[0] if unbatched else grad_x)
 
     return _node(out[0] if unbatched else out, (x, weight, bias), backward)
@@ -312,38 +336,50 @@ def batchnorm1d(
         )
     dt = xd.dtype
     count = n * length
+    rows = xd.transpose(1, 0, 2).reshape(c, count)
     if training:
         if count < 2:
             raise InvalidInputError(
                 f"train-mode batch norm needs N*L >= 2, got N={n}, L={length}"
             )
-        mean = xd.mean(axis=(0, 2), dtype=np.float64)
-        var = xd.var(axis=(0, 2), dtype=np.float64)
+        mean = rows.mean(axis=1, dtype=np.float64)
+        sq_dev = np.subtract(rows, mean[:, None], dtype=np.float64)
+        np.square(sq_dev, out=sq_dev)
+        var = sq_dev.mean(axis=1)
         running_mean[:] = (1.0 - momentum) * running_mean + momentum * mean
         running_var[:] = (1.0 - momentum) * running_var + momentum * var
     else:
         mean = running_mean
         var = running_var
     inv_std = (1.0 / np.sqrt(var + eps)).astype(dt)
-    xhat = (xd - mean.astype(dt)[None, :, None]) * inv_std[None, :, None]
-    out = gamma.data[None, :, None] * xhat + beta.data[None, :, None]
+    xhat = np.subtract(rows, mean.astype(dt)[:, None])
+    xhat *= inv_std[:, None]
+    out = xhat * gamma.data[:, None]
+    out += beta.data[:, None]
 
     def backward(g):
-        _accumulate(beta, g.sum(axis=(0, 2)))
-        _accumulate(gamma, (g * xhat).sum(axis=(0, 2)))
+        g2 = g.transpose(1, 0, 2).reshape(c, count)
+        _accumulate(beta, g2.sum(axis=1))
+        _accumulate(gamma, (g2 * xhat).sum(axis=1))
         if not x.requires_grad:
             return
-        scale = (gamma.data * inv_std)[None, :, None]
         if training:
-            dxhat = g * gamma.data[None, :, None]
-            mean_dxhat = dxhat.mean(axis=(0, 2), keepdims=True)
-            mean_dxhat_xhat = (dxhat * xhat).mean(axis=(0, 2), keepdims=True)
-            dx = inv_std[None, :, None] * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
+            # dx = inv_std * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)),
+            # built in place in dxhat's buffer.
+            dxhat = g2 * gamma.data[:, None]
+            mean_dxhat = dxhat.mean(axis=1, keepdims=True)
+            prod = dxhat * xhat
+            mean_dxhat_xhat = prod.mean(axis=1, keepdims=True)
+            np.multiply(xhat, mean_dxhat_xhat, out=prod)
+            dx = dxhat
+            dx -= mean_dxhat
+            dx -= prod
+            dx *= inv_std[:, None]
         else:
-            dx = g * scale
-        _accumulate(x, dx)
+            dx = g2 * (gamma.data * inv_std)[:, None]
+        _accumulate(x, dx.reshape(c, n, length).transpose(1, 0, 2))
 
-    return _node(out, (x, gamma, beta), backward)
+    return _node(out.reshape(c, n, length).transpose(1, 0, 2), (x, gamma, beta), backward)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
@@ -356,7 +392,8 @@ def global_avg_pool(x: Tensor) -> Tensor:
         raise InvalidShapeError("global_avg_pool needs L >= 1")
 
     def backward(g):
-        _accumulate(x, np.repeat(g[:, :, None] / length, length, axis=2))
+        grad_c = np.repeat((g.T / length)[:, :, None], length, axis=2)
+        _accumulate(x, grad_c.transpose(1, 0, 2))
 
     return _node(xd.mean(axis=2), (x,), backward)
 
@@ -364,10 +401,11 @@ def global_avg_pool(x: Tensor) -> Tensor:
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Affine map: (N, D) @ (M, D).T + (M,) -> (N, M).
 
-    The forward product uses einsum so each row's reduction order is fixed,
-    making eval logits independent of batch composition.
+    The forward product uses einsum on a C-contiguous x so each row's
+    reduction order is fixed, making eval logits independent of batch
+    composition and of the memory order x arrives in.
     """
-    xd, wd, bd = x.data, weight.data, bias.data
+    xd, wd, bd = np.ascontiguousarray(x.data), weight.data, bias.data
     if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[1]:
         raise InvalidShapeError(
             f"linear expects (N, D) and (M, D), got {x.shape} and {weight.shape}"

@@ -8,6 +8,7 @@ buffer contents (including the reservoir's generator state).
 """
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -100,23 +101,57 @@ def load_checkpoint(path) -> LoadedCheckpoint:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt header ({exc})") from exc
 
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
+    for key in ("model_config", "arrays"):
+        if key not in header:
+            raise CheckpointError(f"{path}: header has no {key!r}")
+    if not isinstance(header["arrays"], list):
+        raise CheckpointError(f"{path}: header 'arrays' is not a list")
+
     arrays = {}
     offset = 16 + header_len
     for meta in header["arrays"]:
-        dtype = np.dtype(meta["dtype"]).newbyteorder("<")
-        shape = tuple(meta["shape"])
-        n_elem = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        try:
+            name = meta["name"]
+            dtype = np.dtype(meta["dtype"])
+            shape = tuple(int(d) for d in meta["shape"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"{path}: malformed array record {meta!r}") from exc
+        if dtype.kind not in "biuf":
+            raise CheckpointError(f"{path}: array {name!r} has unsupported dtype {dtype}")
+        if any(d < 0 for d in shape):
+            raise CheckpointError(f"{path}: array {name!r} has negative shape {shape}")
+        n_elem = math.prod(shape)
         nbytes = dtype.itemsize * n_elem
         if offset + nbytes > len(raw):
-            raise CheckpointError(f"{path}: truncated array payload ({meta['name']})")
+            raise CheckpointError(f"{path}: truncated array payload ({name})")
         if n_elem:
-            arr = np.frombuffer(raw, dtype=dtype, count=n_elem, offset=offset)
-            arr = arr.reshape(shape).astype(np.dtype(meta["dtype"]))
+            arr = np.frombuffer(raw, dtype=dtype.newbyteorder("<"), count=n_elem, offset=offset)
+            arr = arr.reshape(shape).astype(dtype)
         else:
-            arr = np.empty(shape, dtype=np.dtype(meta["dtype"]))
-        arrays[meta["name"]] = arr
+            arr = np.empty(shape, dtype=dtype)
+        arrays[name] = arr
         offset += nbytes
+    if offset != len(raw):
+        raise CheckpointError(
+            f"{path}: {len(raw) - offset} bytes follow the last declared array"
+        )
 
+    try:
+        model, buf = _restore(header, arrays)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: header does not fit its arrays ({exc})") from exc
+    return LoadedCheckpoint(model, header.get("experiment_config", {}), buf)
+
+
+def _restore(header: dict, arrays: dict) -> tuple[TcResNet8, ReservoirBuffer | None]:
+    """Model and buffer described by a parsed header and its arrays.
+
+    A header value of the wrong type, a missing key or array, or an array
+    that does not fit the model raises KeyError, IndexError, TypeError or
+    ValueError.
+    """
     mc = header["model_config"]
     cfg = TcResNet8Config(
         input_channels=mc["input_channels"],
@@ -129,25 +164,25 @@ def load_checkpoint(path) -> LoadedCheckpoint:
     model_keys = set(model.state_arrays())
     model.load_state_arrays({k: v for k, v in arrays.items() if k in model_keys})
 
-    buf = None
     bmeta = header.get("buffer")
-    if bmeta is not None:
-        entries = []
-        if bmeta["num_entries"]:
-            feats = arrays["buffer.features"]
-            labels = arrays["buffer.labels"]
-            logits = arrays["buffer.logits"]
-            entries = [
-                (feats[i], int(labels[i]), logits[i])
-                for i in range(bmeta["num_entries"])
-            ]
-        buf = ReservoirBuffer.from_state(
-            {
-                "capacity": bmeta["capacity"],
-                "num_classes": bmeta["num_classes"],
-                "num_seen": bmeta["num_seen"],
-                "rng_state": bmeta["rng_state"],
-                "entries": entries,
-            }
-        )
-    return LoadedCheckpoint(model, header.get("experiment_config", {}), buf)
+    if bmeta is None:
+        return model, None
+    entries = []
+    if bmeta["num_entries"]:
+        feats = arrays["buffer.features"]
+        labels = arrays["buffer.labels"]
+        logits = arrays["buffer.logits"]
+        entries = [
+            (feats[i], int(labels[i]), logits[i])
+            for i in range(bmeta["num_entries"])
+        ]
+    buf = ReservoirBuffer.from_state(
+        {
+            "capacity": bmeta["capacity"],
+            "num_classes": bmeta["num_classes"],
+            "num_seen": bmeta["num_seen"],
+            "rng_state": bmeta["rng_state"],
+            "entries": entries,
+        }
+    )
+    return model, buf

@@ -15,6 +15,7 @@ Conventions fixed here (they vary between toolkits):
   * short clips are zero-padded at the end, long clips truncated at the end
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,12 +164,15 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@functools.lru_cache(maxsize=8)
 def mel_filterbank(cfg: MfccConfig) -> np.ndarray:
     """Triangular mel filters as an (n_mels, n_bins) weight matrix.
 
     Filter edge frequencies are equally spaced on the mel scale between fmin
     and fmax, then snapped to FFT bin indices; each filter rises linearly to
     weight 1.0 at its peak bin and falls back to 0 at the next filter's peak.
+    The matrix is built once per config and shared by every caller, so it
+    is returned read-only.
     """
     edges = np.linspace(hz_to_mel(cfg.fmin), hz_to_mel(cfg.fmax), cfg.n_mels + 2)
     bins = np.floor((cfg.fft_size + 1) * mel_to_hz(edges) / cfg.sample_rate).astype(int)
@@ -184,6 +188,7 @@ def mel_filterbank(cfg: MfccConfig) -> np.ndarray:
             weights[m, i] = (i - left) / (peak - left)
         for i in range(peak, right):
             weights[m, i] = (right - i) / (right - peak)
+    weights.flags.writeable = False
     return weights
 
 

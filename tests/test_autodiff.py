@@ -156,6 +156,12 @@ class TestRelu:
         np.testing.assert_array_equal(out.data, 0.0)
         np.testing.assert_array_equal(x.grad, np.zeros(3))
 
+    def test_nan_propagates(self):
+        # A NaN activation must reach the loss so the finite-loss check sees it.
+        out = ad.relu(tensor([np.nan, -1.0, 2.0]))
+        assert np.isnan(out.data[0])
+        np.testing.assert_array_equal(out.data[1:], [0.0, 2.0])
+
     def test_gradient_matches_finite_differences_away_from_zero(self):
         rng = np.random.default_rng(5)
         raw = rng.standard_normal((4, 6))
@@ -412,3 +418,141 @@ class TestGraphMechanics:
         assert np.isfinite(loss.item())
         for t in (x, gamma, beta):
             assert np.isfinite(t.grad).all()
+
+
+# ---------------------------------------------------------------------------
+# memory-order equivalence: results must not depend on how inputs are laid out
+
+
+def channel_major(a):
+    """Same values as a, stored channel-major: (N, C, L) view of a (C, N, L) array."""
+    if a.ndim == 2:
+        return np.asfortranarray(a)
+    return np.ascontiguousarray(a.transpose(1, 0, 2)).transpose(1, 0, 2)
+
+
+def run_op(op, x_data, coeff_data, params):
+    """Forward op on x, then backward from sum(out * coeffs)."""
+    x = tensor(x_data)
+    out = op(x, *params)
+    ad.tsum(ad.mul(out, ad.Tensor(coeff_data))).backward()
+    return out.data, [x.grad] + [p.grad for p in params if isinstance(p, ad.Tensor)]
+
+
+def ref_conv1d(xd, wd, bd, stride, padding, g):
+    """N-major im2col conv1d and its gradients, as a loop-built reference."""
+    unbatched = xd.ndim == 2
+    if unbatched:
+        xd, g = xd[None], g[None]
+    n, c_in, length = xd.shape
+    c_out, _, k = wd.shape
+    l_out = (length + 2 * padding - k) // stride + 1
+    xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding)))
+    cols = np.stack(
+        [xp[:, :, j : j + stride * l_out : stride] for j in range(k)], axis=2
+    ).reshape(n, c_in * k, l_out)
+    w2 = wd.reshape(c_out, c_in * k)
+    out = np.matmul(w2, cols) + bd[None, :, None]
+    grad_w = np.tensordot(g, cols, axes=([0, 2], [0, 2])).reshape(wd.shape)
+    grad_cols = np.matmul(w2.T, g).reshape(n, c_in, k, l_out)
+    grad_xp = np.zeros_like(xp)
+    for j in range(k):
+        grad_xp[:, :, j : j + stride * l_out : stride] += grad_cols[:, :, j, :]
+    grad_x = grad_xp[:, :, padding : padding + length]
+    if unbatched:
+        out, grad_x = out[0], grad_x[0]
+    return out, [grad_x, grad_w, g.sum(axis=(0, 2))]
+
+
+def ref_batchnorm1d(xd, gamma, beta, running_mean, running_var, training, g, eps=1e-5):
+    if training:
+        mean, var = xd.mean(axis=(0, 2)), xd.var(axis=(0, 2))
+    else:
+        mean, var = running_mean, running_var
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (xd - mean[None, :, None]) * inv_std[None, :, None]
+    out = gamma[None, :, None] * xhat + beta[None, :, None]
+    if training:
+        dxhat = g * gamma[None, :, None]
+        dx = inv_std[None, :, None] * (
+            dxhat - dxhat.mean(axis=(0, 2), keepdims=True)
+            - xhat * (dxhat * xhat).mean(axis=(0, 2), keepdims=True)
+        )
+    else:
+        dx = g * (gamma * inv_std)[None, :, None]
+    return out, [dx, (g * xhat).sum(axis=(0, 2)), g.sum(axis=(0, 2))]
+
+
+def assert_matches_reference(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+class TestMemoryOrderEquivalence:
+    @pytest.mark.parametrize(
+        "x_shape, w_shape, stride, padding",
+        [
+            ((3, 11), (4, 3, 3), 1, 1),  # unbatched
+            ((2, 3, 20), (5, 3, 9), 2, 4),
+            ((3, 4, 9), (5, 4, 1), 2, 0),  # k = 1, the residual shortcut
+            ((2, 3, 8), (4, 3, 3), 1, 0),
+        ],
+    )
+    def test_conv1d(self, x_shape, w_shape, stride, padding):
+        rng = np.random.default_rng(11)
+        xd = rng.standard_normal(x_shape)
+        wd, bd = rng.standard_normal(w_shape), rng.standard_normal(w_shape[0])
+        length = x_shape[-1]
+        l_out = (length + 2 * padding - w_shape[2]) // stride + 1
+        coeffs = rng.standard_normal(x_shape[:-2] + (w_shape[0], l_out))
+        want_out, want_grads = ref_conv1d(xd, wd, bd, stride, padding, coeffs)
+        outs = []
+        for layout in (np.ascontiguousarray, channel_major):
+            out, grads = run_op(
+                lambda x, w, b: ad.conv1d(x, w, b, stride=stride, padding=padding),
+                layout(xd), layout(coeffs), [tensor(wd), tensor(bd)],
+            )
+            outs.append(out)
+            assert_matches_reference(out, want_out)
+            for got, want in zip(grads, want_grads):
+                assert_matches_reference(got, want)
+        assert outs[0].tobytes() == np.ascontiguousarray(outs[1]).tobytes()
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_batchnorm1d(self, training):
+        rng = np.random.default_rng(12)
+        xd = rng.standard_normal((3, 4, 13)) * 2.0 + 0.5
+        gamma, beta = rng.standard_normal(4), rng.standard_normal(4)
+        run_mean, run_var = rng.standard_normal(4), rng.uniform(0.5, 2.0, 4)
+        coeffs = rng.standard_normal(xd.shape)
+        want_out, want_grads = ref_batchnorm1d(
+            xd, gamma, beta, run_mean, run_var, training, coeffs
+        )
+        outs, stats = [], []
+        for layout in (np.ascontiguousarray, channel_major):
+            rm, rv = run_mean.copy(), run_var.copy()
+            out, grads = run_op(
+                lambda x, g, b: ad.batchnorm1d(x, g, b, rm, rv, training),
+                layout(xd), layout(coeffs), [tensor(gamma), tensor(beta)],
+            )
+            outs.append(out)
+            stats.append((rm, rv))
+            assert_matches_reference(out, want_out)
+            for got, want in zip(grads, want_grads):
+                assert_matches_reference(got, want)
+        assert outs[0].tobytes() == np.ascontiguousarray(outs[1]).tobytes()
+        assert stats[0][0].tobytes() == stats[1][0].tobytes()
+        assert stats[0][1].tobytes() == stats[1][1].tobytes()
+
+    def test_global_avg_pool(self):
+        rng = np.random.default_rng(13)
+        xd = rng.standard_normal((3, 5, 13))
+        coeffs = rng.standard_normal((3, 5))
+        outs = []
+        for layout in (np.ascontiguousarray, channel_major):
+            out, (grad_x,) = run_op(ad.global_avg_pool, layout(xd), coeffs, [])
+            outs.append(out)
+            assert_matches_reference(out, xd.mean(axis=2))
+            assert_matches_reference(
+                grad_x, np.repeat(coeffs[:, :, None] / 13, 13, axis=2)
+            )
+        assert outs[0].tobytes() == np.ascontiguousarray(outs[1]).tobytes()

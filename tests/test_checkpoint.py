@@ -1,5 +1,8 @@
 """Checkpoint container: bit-exact round trips for model and buffer."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,15 @@ def trained_model(num_classes=6, dtype=np.float64):
     rng = np.random.default_rng(4)
     model.forward(rng.standard_normal((4, 98, 40)), training=True)
     return model
+
+
+def rewrite_header(path, edit):
+    """Replace a saved checkpoint's JSON header with edit(header)."""
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack_from("<Q", raw, 8)
+    header = json.loads(raw[16 : 16 + header_len])
+    blob = json.dumps(edit(header)).encode("utf-8")
+    path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + header_len :])
 
 
 def filled_buffer(n=9, num_classes=6):
@@ -120,4 +132,69 @@ class TestCorruption:
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) - 200])
         with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_list_header_rejected(self, tmp_path):
+        path = tmp_path / "model.dkws"
+        save_checkpoint(path, trained_model())
+        rewrite_header(path, lambda header: [header])
+        with pytest.raises(CheckpointError, match="JSON object"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["arrays", "model_config"])
+    def test_missing_header_key_rejected(self, tmp_path, key):
+        path = tmp_path / "model.dkws"
+        save_checkpoint(path, trained_model())
+
+        def drop(header):
+            del header[key]
+            return header
+
+        rewrite_header(path, drop)
+        with pytest.raises(CheckpointError, match=key):
+            load_checkpoint(path)
+
+    def test_object_dtype_rejected(self, tmp_path):
+        path = tmp_path / "model.dkws"
+        save_checkpoint(path, trained_model())
+
+        def to_object(header):
+            header["arrays"][0]["dtype"] = "object"
+            return header
+
+        rewrite_header(path, to_object)
+        with pytest.raises(CheckpointError, match="dtype"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "model.dkws"
+        save_checkpoint(path, trained_model())
+        path.write_bytes(path.read_bytes() + b"\x00" * 8)
+        with pytest.raises(CheckpointError, match="follow the last declared array"):
+            load_checkpoint(path)
+
+    def test_misdeclared_dtype_rejected(self, tmp_path):
+        # float64 parameters declared as float32 leave half their bytes unread.
+        path = tmp_path / "model.dkws"
+        save_checkpoint(path, trained_model(dtype=np.float64))
+
+        def to_float32(header):
+            assert header["arrays"][0]["dtype"] == "float64"
+            header["arrays"][0]["dtype"] = "float32"
+            return header
+
+        rewrite_header(path, to_float32)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_header_not_fitting_model_rejected(self, tmp_path):
+        path = tmp_path / "model.dkws"
+        save_checkpoint(path, trained_model(num_classes=6))
+
+        def more_classes(header):
+            header["model_config"]["num_classes"] = 7
+            return header
+
+        rewrite_header(path, more_classes)
+        with pytest.raises(CheckpointError, match="does not fit"):
             load_checkpoint(path)

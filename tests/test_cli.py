@@ -149,6 +149,18 @@ class TestCmdRun:
         run_row = (out / "matrix.csv").read_text().splitlines()[-1]
         assert eval_row.split(",")[1:] == run_row.split(",")[1:]
 
+    def test_eval_on_malformed_checkpoint_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "exp.cfg"
+        config.write_text(TINY_RUN_CONFIG)
+        header = b"[]"
+        ckpt = tmp_path / "list_header.dkws"
+        ckpt.write_bytes(
+            b"DKWS" + (1).to_bytes(4, "little") + len(header).to_bytes(8, "little") + header
+        )
+        code = main(["eval", "--checkpoint", str(ckpt), "--config", str(config)])
+        assert code == 2
+        assert "JSON object" in capsys.readouterr().err
+
 
 class TestCmdSynth:
     SYNTH_CONFIG = (

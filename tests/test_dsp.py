@@ -182,6 +182,17 @@ class TestMelFilterbank:
         with pytest.raises(InvalidShapeError):
             log_mel_energies(np.zeros((3, 100)), MfccConfig())
 
+    def test_cached_per_config_and_read_only(self):
+        cfg = MfccConfig()
+        weights = mel_filterbank(cfg)
+        assert mel_filterbank(MfccConfig()) is weights
+        assert mel_filterbank(MfccConfig(n_mels=32, n_mfcc=32)) is not weights
+        with pytest.raises(ValueError):
+            weights[0, 0] = 1.0
+        fresh = mel_filterbank.__wrapped__(cfg)
+        assert fresh is not weights
+        assert fresh.tobytes() == weights.tobytes()
+
 
 class TestMfcc:
     def test_zero_signal_constant_rows_and_dc_only(self):
