@@ -24,7 +24,7 @@ from .autodiff import (
     no_grad,
     relu,
 )
-from .buffer import BufferEntry, ReservoirBuffer, occupancy, reservoir_insert, sample_batch
+from .buffer import BufferEntry, ReservoirBuffer
 from .dataset import (
     FeaturizedDataset,
     Manifest,
@@ -58,6 +58,6 @@ from .metrics import (
     compute_bwt,
     evaluate_task_accuracy,
 )
-from .model import TcResNet8, TcResNet8Config, build, count_parameters, forward
+from .model import TcResNet8, TcResNet8Config
 
 __version__ = "0.1.0"

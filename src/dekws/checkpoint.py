@@ -17,10 +17,11 @@ import numpy as np
 
 from .buffer import ReservoirBuffer
 from .errors import CheckpointError
-from .model import TcResNet8, TcResNet8Config, build
+from .model import TcResNet8, TcResNet8Config
 
 MAGIC = b"DKWS"
 VERSION = 1
+BUFFER_ARRAYS = ("buffer.features", "buffer.labels", "buffer.logits")
 
 
 @dataclass
@@ -46,25 +47,18 @@ def save_checkpoint(path, model: TcResNet8, experiment_config: dict | None = Non
     arrays = dict(model.state_arrays())
     buffer_meta = None
     if buffer is not None:
-        state = buffer.state()
-        entries = state["entries"]
+        n = len(buffer)
+        version, internal, gauss = buffer.rng.getstate()
         buffer_meta = {
-            "capacity": state["capacity"],
-            "num_classes": state["num_classes"],
-            "num_seen": state["num_seen"],
-            "rng_state": [
-                state["rng_state"][0],
-                list(state["rng_state"][1]),
-                state["rng_state"][2],
-            ],
-            "num_entries": len(entries),
+            "capacity": buffer.capacity,
+            "num_classes": buffer.num_classes,
+            "num_seen": buffer.num_seen,
+            "rng_state": [version, list(internal), gauss],
+            "num_entries": n,
         }
-        if entries:
-            arrays["buffer.features"] = np.stack([f for f, _, _ in entries])
-            arrays["buffer.labels"] = np.asarray(
-                [label for _, label, _ in entries], dtype=np.int64
-            )
-            arrays["buffer.logits"] = np.stack([z for _, _, z in entries])
+        if n:
+            columns = (buffer.features, buffer.labels, buffer.logits)
+            arrays.update((name, column[:n]) for name, column in zip(BUFFER_ARRAYS, columns))
     meta, payload = _array_records(arrays)
     header = {
         "model_config": {
@@ -140,7 +134,7 @@ def load_checkpoint(path) -> LoadedCheckpoint:
 
     try:
         model, buf = _restore(header, arrays)
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError, MemoryError) as exc:
         raise CheckpointError(f"{path}: header does not fit its arrays ({exc})") from exc
     return LoadedCheckpoint(model, header.get("experiment_config", {}), buf)
 
@@ -148,9 +142,12 @@ def load_checkpoint(path) -> LoadedCheckpoint:
 def _restore(header: dict, arrays: dict) -> tuple[TcResNet8, ReservoirBuffer | None]:
     """Model and buffer described by a parsed header and its arrays.
 
-    A header value of the wrong type, a missing key or array, or an array
-    that does not fit the model raises KeyError, IndexError, TypeError or
-    ValueError.
+    A header value of the wrong type, a missing key or array, an array that
+    does not fit the model, or a buffer that breaks the reservoir invariant
+    (min(num_seen, capacity) rows of num_classes logits, as many as
+    num_entries) raises KeyError, IndexError, TypeError, ValueError or
+    OverflowError; a buffer capacity too large to allocate raises
+    MemoryError.
     """
     mc = header["model_config"]
     cfg = TcResNet8Config(
@@ -160,29 +157,22 @@ def _restore(header: dict, arrays: dict) -> tuple[TcResNet8, ReservoirBuffer | N
         kernel_first=mc["kernel_first"],
         kernel_block=mc["kernel_block"],
     )
-    model = build(cfg, seed=0, dtype=np.dtype(mc["dtype"]))
+    model = TcResNet8(cfg, seed=0, dtype=np.dtype(mc["dtype"]))
     model_keys = set(model.state_arrays())
     model.load_state_arrays({k: v for k, v in arrays.items() if k in model_keys})
 
     bmeta = header.get("buffer")
     if bmeta is None:
         return model, None
-    entries = []
-    if bmeta["num_entries"]:
-        feats = arrays["buffer.features"]
-        labels = arrays["buffer.labels"]
-        logits = arrays["buffer.logits"]
-        entries = [
-            (feats[i], int(labels[i]), logits[i])
-            for i in range(bmeta["num_entries"])
-        ]
-    buf = ReservoirBuffer.from_state(
-        {
-            "capacity": bmeta["capacity"],
-            "num_classes": bmeta["num_classes"],
-            "num_seen": bmeta["num_seen"],
-            "rng_state": bmeta["rng_state"],
-            "entries": entries,
-        }
+    n = bmeta["num_entries"]
+    columns = [arrays[name] for name in BUFFER_ARRAYS if name in arrays]
+    if len(columns) != (len(BUFFER_ARRAYS) if n else 0) or any(len(c) != n for c in columns):
+        raise CheckpointError(
+            f"buffer header declares {n} entries, buffer arrays have shapes "
+            f"{[c.shape for c in columns]}"
+        )
+    buf = ReservoirBuffer.from_arrays(
+        bmeta["capacity"], bmeta["num_classes"], bmeta["num_seen"], bmeta["rng_state"],
+        *columns,
     )
     return model, buf

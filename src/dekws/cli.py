@@ -30,10 +30,10 @@ from .dataset import (
     write_synthetic_tree,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
-from .engine import run_baseline, run_schedule
-from .errors import DekwsError, TrainingFaultError
+from .engine import run_schedule
+from .errors import CheckpointError, DekwsError, TrainingFaultError
 from .metrics import AccuracyMatrix, evaluate_task_accuracy
-from .model import TcResNet8Config, build
+from .model import TcResNet8, TcResNet8Config
 
 EXIT_OK = 0
 EXIT_GRADCHECK = 1
@@ -64,10 +64,7 @@ def cmd_run(config_path: str, seed: int | None = None, out: str | None = None) -
     started = time.monotonic()
     data = _load_dataset(cfg)
     schedule = _build_schedule(cfg, data.num_classes)
-    if cfg.train.strategy == "de_kws":
-        result = run_schedule(schedule, data, cfg.train)
-    else:
-        result = run_baseline(cfg.train.strategy, schedule, data, cfg.train)
+    result = run_schedule(schedule, data, cfg.train)
 
     report = dict(result.report)
     report["experiment_config"] = cfg.effective_dict()
@@ -92,6 +89,11 @@ def cmd_eval(checkpoint_path: str, config_path: str, out: str | None = None) -> 
     loaded = load_checkpoint(checkpoint_path)
     cfg = read_experiment_config(config_path, out_override=out)
     data = _load_dataset(cfg)
+    if loaded.model.cfg.num_classes != data.num_classes:
+        raise CheckpointError(
+            f"{checkpoint_path}: model has {loaded.model.cfg.num_classes} classes, "
+            f"dataset has {data.num_classes}"
+        )
     schedule = _build_schedule(cfg, data.num_classes)
     matrix = AccuracyMatrix(len(schedule))
     row = {}
@@ -211,7 +213,7 @@ def gradcheck_suite() -> dict:
         lambda: ad.mse_logit_loss(stored, current), [stored, current]
     )
 
-    model = build(TcResNet8Config(num_classes=5), seed=99)
+    model = TcResNet8(TcResNet8Config(num_classes=5), seed=99)
     features = rng.standard_normal((2, 24, 40))
     model_labels = np.array([1, 4])
     slice_rng = np.random.default_rng(18)

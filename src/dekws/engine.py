@@ -10,9 +10,10 @@ produced, so the buffer samples the entire training trajectory rather than
 task snapshots. At the end of each training phase the batch-norm running
 stats used at evaluation are recomputed from one pass over the buffer.
 
-Baselines reuse the same loop: finetune is alpha = beta = 0 with capacity 0,
-naive rehearsal concatenates a replayed batch into a single cross-entropy,
-and joint pools all classes into one training phase.
+All four strategies run in one loop (run_schedule): finetune is alpha =
+beta = 0 with capacity 0, naive rehearsal concatenates a replayed batch into
+a single cross-entropy, and joint is finetune over one phase that pools all
+classes.
 """
 
 import dataclasses
@@ -30,7 +31,7 @@ from .errors import (
     TrainingFaultError,
 )
 from .metrics import AccuracyMatrix, build_report, evaluate_task_accuracy
-from .model import TcResNet8, TcResNet8Config, build
+from .model import TcResNet8, TcResNet8Config
 from .rng import numpy_stream, python_stream, substream_seed
 
 STRATEGIES = ("de_kws", "finetune", "joint", "naive_rehearsal")
@@ -111,13 +112,6 @@ def combined_loss(l_current, l_rehearsal, l_distill, alpha: float, beta: float):
     return total
 
 
-def _stack_batch(entries):
-    features = np.stack([e.features for e in entries])
-    labels = np.asarray([e.label for e in entries], dtype=np.int64)
-    logits = np.stack([e.logits for e in entries])
-    return features, labels, logits
-
-
 def train_step(model: TcResNet8, batch, buf: ReservoirBuffer, cfg: TrainConfig,
                adam_state: ad.AdamState, sampler_rng) -> StepBreakdown:
     """One optimization step; mutates model, buffer, and optimizer state.
@@ -133,8 +127,7 @@ def train_step(model: TcResNet8, batch, buf: ReservoirBuffer, cfg: TrainConfig,
     ad.zero_grads(params)
 
     if cfg.strategy == "naive_rehearsal" and len(buf) > 0:
-        replay = buf.sample_batch(len(features), sampler_rng)
-        r_features, r_labels, _ = _stack_batch(replay)
+        r_features, r_labels, _ = buf.sample_batch(len(features), sampler_rng)
         merged = np.concatenate([features, r_features])
         merged_labels = np.concatenate([labels, r_labels])
         logits = model.forward(merged, training=True)
@@ -149,14 +142,12 @@ def train_step(model: TcResNet8, batch, buf: ReservoirBuffer, cfg: TrainConfig,
         l_current = ad.cross_entropy_loss(logits, labels)
         l_rehearsal = None
         l_distill = None
-        if cfg.strategy in ("de_kws", "finetune", "joint") and len(buf) > 0:
-            rehearsal = buf.sample_batch(cfg.batch_size, sampler_rng)
-            r_features, r_labels, _ = _stack_batch(rehearsal)
+        if len(buf) > 0:
+            r_features, r_labels, _ = buf.sample_batch(cfg.batch_size, sampler_rng)
             l_rehearsal = ad.cross_entropy_loss(
                 model.forward(r_features, training=True), r_labels
             )
-            distill = buf.sample_batch(cfg.batch_size, sampler_rng)
-            d_features, _, d_logits = _stack_batch(distill)
+            d_features, _, d_logits = buf.sample_batch(cfg.batch_size, sampler_rng)
             l_distill = ad.mse_logit_loss(
                 ad.Tensor(d_logits),
                 model.forward(d_features, training=True),
@@ -230,7 +221,7 @@ def _recalibrate_batchnorm(model: TcResNet8, buf: ReservoirBuffer) -> None:
     fails, running stats and momenta are restored before the error
     propagates.
     """
-    features = np.stack([e.features for e in buf.entries])
+    features = buf.features[:len(buf)]
     bns = model.batchnorms
     saved = [(bn.momentum, bn.running_mean.copy(), bn.running_var.copy()) for bn in bns]
     try:
@@ -248,39 +239,34 @@ def _recalibrate_batchnorm(model: TcResNet8, buf: ReservoirBuffer) -> None:
             bn.momentum = momentum
 
 
-def _train_phase(model, phase_tasks, data, cfg, adam_state, buf, shuffle_rng,
-                 sampler_rng, loss_curve, matrix, schedule, eval_after_each):
-    """Train sequentially over phase_tasks; append a matrix row per phase.
+def _train_phase(model, task, data, cfg, adam_state, buf, shuffle_rng, sampler_rng,
+                 loss_curve):
+    """Train over one task's training split for cfg.epochs_per_task epochs.
 
-    After each phase with a non-empty buffer, the batch-norm running stats
-    are recomputed from the buffer (see _recalibrate_batchnorm) before the
-    row is evaluated.
+    If the buffer is then non-empty, the batch-norm running stats are
+    recomputed from it (see _recalibrate_batchnorm).
     """
-    for phase_idx, task in enumerate(phase_tasks):
-        train_x, train_y = data.train_subset(task.class_ids)
-        n = len(train_x)
-        for epoch in range(cfg.epochs_per_task):
-            perm = shuffle_rng.permutation(n)
-            for start in range(0, n, cfg.batch_size):
-                idx = perm[start : start + cfg.batch_size]
-                breakdown = train_step(
-                    model, (train_x[idx], train_y[idx]), buf, cfg,
-                    adam_state, sampler_rng,
-                )
-                loss_curve.append(
-                    {
-                        "task": task.task_id,
-                        "epoch": epoch,
-                        "l_total": breakdown.l_total,
-                        "l_current": breakdown.l_current,
-                        "l_rehearsal": breakdown.l_rehearsal,
-                        "l_distill": breakdown.l_distill,
-                    }
-                )
-        if len(buf) > 0:
-            _recalibrate_batchnorm(model, buf)
-        if eval_after_each:
-            matrix.add_row(_evaluate_tasks(model, schedule, data, range(phase_idx + 1)))
+    train_x, train_y = data.train_subset(task.class_ids)
+    n = len(train_x)
+    for epoch in range(cfg.epochs_per_task):
+        perm = shuffle_rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = perm[start : start + cfg.batch_size]
+            breakdown = train_step(
+                model, (train_x[idx], train_y[idx]), buf, cfg, adam_state, sampler_rng,
+            )
+            loss_curve.append(
+                {
+                    "task": task.task_id,
+                    "epoch": epoch,
+                    "l_total": breakdown.l_total,
+                    "l_current": breakdown.l_current,
+                    "l_rehearsal": breakdown.l_rehearsal,
+                    "l_distill": breakdown.l_distill,
+                }
+            )
+    if len(buf) > 0:
+        _recalibrate_batchnorm(model, buf)
 
 
 def _assemble_report(cfg, schedule, data, model, matrix, loss_curve, buf) -> dict:
@@ -305,14 +291,25 @@ def _assemble_report(cfg, schedule, data, model, matrix, loss_curve, buf) -> dic
 
 
 def run_schedule(schedule, data: FeaturizedDataset, cfg: TrainConfig) -> RunResult:
-    """Incremental training over the schedule, one matrix row per task.
+    """Train cfg.strategy over the schedule; the only training loop.
 
-    After finishing task t, every task i <= t is evaluated on its
-    validation split. The report carries ACC, BWT (absent for a single
-    task), per-task accuracies, loss curves, and buffer accounting.
+    de_kws, naive_rehearsal and finetune train task by task and evaluate
+    every task i <= t after task t, one matrix row per task. joint trains
+    one phase pooling every scheduled class and ends with a single row over
+    all tasks (BWT absent). finetune and joint are replay-free: alpha and
+    beta are 0 and the buffer has capacity 0. The report carries ACC, BWT
+    (absent for a single row), per-task accuracies, loss curves, and buffer
+    accounting.
     """
     _validate_schedule(schedule, data)
-    model = build(
+    if cfg.strategy in ("finetune", "joint"):
+        cfg = dataclasses.replace(cfg, alpha=0.0, beta=0.0, buffer_capacity=0)
+    if cfg.strategy == "joint":
+        pooled = TaskSpec(0, tuple(c for task in schedule for c in task.class_ids))
+        phases = [(pooled, range(len(schedule)))]
+    else:
+        phases = [(task, range(t + 1)) for t, task in enumerate(schedule)]
+    model = TcResNet8(
         TcResNet8Config(num_classes=data.num_classes),
         cfg.seed,
         dtype=PRECISIONS[cfg.precision],
@@ -326,60 +323,15 @@ def run_schedule(schedule, data: FeaturizedDataset, cfg: TrainConfig) -> RunResu
     sampler_rng = python_stream(cfg.seed, "sampler")
     matrix = AccuracyMatrix(len(schedule))
     loss_curve: list = []
-    _train_phase(
-        model, schedule, data, cfg, adam_state, buf, shuffle_rng, sampler_rng,
-        loss_curve, matrix, schedule, eval_after_each=True,
-    )
+    for task, evaluated in phases:
+        _train_phase(model, task, data, cfg, adam_state, buf, shuffle_rng, sampler_rng,
+                     loss_curve)
+        matrix.add_row(_evaluate_tasks(model, schedule, data, evaluated))
     report = _assemble_report(cfg, schedule, data, model, matrix, loss_curve, buf)
     return RunResult(model, matrix, report, buf)
 
 
 def run_baseline(strategy: str, schedule, data: FeaturizedDataset,
                  cfg: TrainConfig) -> RunResult:
-    """Run a reference strategy with the same outputs as run_schedule.
-
-    finetune: the incremental loop with alpha = beta = 0 and no buffer.
-    joint: one pooled training phase over all scheduled classes, evaluated
-    per task (single fully-defined matrix row; BWT absent).
-    naive_rehearsal: per step, a buffer batch the size of the current batch
-    is concatenated for a single cross-entropy; the buffer still fills by
-    reservoir sampling.
-    """
-    if strategy not in STRATEGIES:
-        raise InvalidConfigError(
-            f"unknown strategy {strategy!r}; expected one of {STRATEGIES}"
-        )
-    if strategy == "finetune":
-        cfg = dataclasses.replace(
-            cfg, strategy="finetune", alpha=0.0, beta=0.0, buffer_capacity=0
-        )
-        return run_schedule(schedule, data, cfg)
-    if strategy == "naive_rehearsal":
-        return run_schedule(schedule, data, dataclasses.replace(cfg, strategy=strategy))
-    if strategy == "de_kws":
-        return run_schedule(schedule, data, dataclasses.replace(cfg, strategy=strategy))
-
-    # joint: single pooled phase, then per-task evaluation
-    cfg = dataclasses.replace(cfg, strategy="joint", alpha=0.0, beta=0.0,
-                              buffer_capacity=0)
-    _validate_schedule(schedule, data)
-    pooled_classes = tuple(c for task in schedule for c in task.class_ids)
-    pooled = [TaskSpec(0, pooled_classes)]
-    model = build(
-        TcResNet8Config(num_classes=data.num_classes),
-        cfg.seed,
-        dtype=PRECISIONS[cfg.precision],
-    )
-    adam_state = ad.init_adam(model.parameters, lr=cfg.lr)
-    buf = ReservoirBuffer(0, data.num_classes, seed=substream_seed(cfg.seed, "reservoir"))
-    shuffle_rng = numpy_stream(cfg.seed, "shuffle")
-    sampler_rng = python_stream(cfg.seed, "sampler")
-    matrix = AccuracyMatrix(len(schedule))
-    loss_curve: list = []
-    _train_phase(
-        model, pooled, data, cfg, adam_state, buf, shuffle_rng, sampler_rng,
-        loss_curve, matrix, schedule, eval_after_each=False,
-    )
-    matrix.add_row(_evaluate_tasks(model, schedule, data, range(len(schedule))))
-    report = _assemble_report(cfg, schedule, data, model, matrix, loss_curve, buf)
-    return RunResult(model, matrix, report, buf)
+    """run_schedule with cfg.strategy replaced by strategy."""
+    return run_schedule(schedule, data, dataclasses.replace(cfg, strategy=strategy))

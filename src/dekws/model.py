@@ -35,6 +35,10 @@ class TcResNet8Config:
             raise InvalidInputError(
                 f"channels must have exactly 4 entries, got {self.channels}"
             )
+        if min(self.input_channels, *self.channels, self.kernel_first, self.kernel_block) < 1:
+            raise InvalidInputError(
+                f"channel counts and kernel sizes must be >= 1, got {self}"
+            )
         if self.num_classes < 2:
             raise InvalidInputError(
                 f"num_classes must be >= 2, got {self.num_classes}"
@@ -140,7 +144,7 @@ class _ResidualBlock:
 
 
 class TcResNet8:
-    """Backbone model; construct via build()."""
+    """Backbone model, initialized deterministically under seed."""
 
     def __init__(self, cfg: TcResNet8Config, seed: int, dtype=np.float64):
         self.cfg = cfg
@@ -227,17 +231,3 @@ class TcResNet8:
             prefix = bn.gamma.name[:-len(".gamma")]
             bn.running_mean = np.asarray(arrays[f"{prefix}.running_mean"], dtype=np.float64)
             bn.running_var = np.asarray(arrays[f"{prefix}.running_var"], dtype=np.float64)
-
-
-def build(cfg: TcResNet8Config, seed: int, dtype=np.float64) -> TcResNet8:
-    """Construct and initialize the backbone, deterministically under seed."""
-    return TcResNet8(cfg, seed, dtype)
-
-
-def forward(model: TcResNet8, features: np.ndarray, training: bool = False) -> ad.Tensor:
-    return model.forward(features, training)
-
-
-def count_parameters(model) -> int:
-    """Trainable elements of anything exposing a .parameters list."""
-    return sum(p.size for p in model.parameters)

@@ -28,7 +28,7 @@ from dekws.dataset import (
 )
 from dekws.engine import TrainConfig, run_baseline, run_schedule, train_step
 from dekws.metrics import AccuracyMatrix, compute_acc, compute_bwt
-from dekws.model import TcResNet8Config, build
+from dekws.model import TcResNet8, TcResNet8Config
 from dekws.rng import python_stream
 
 BENCH_SEEDS = (2, 4, 5)
@@ -170,7 +170,7 @@ class TestCriterion3:
 
 class TestCriterion4:
     def test_parameter_budget(self):
-        model = build(TcResNet8Config(num_classes=30), seed=0)
+        model = TcResNet8(TcResNet8Config(num_classes=30), seed=0)
         count = model.count_parameters()
         within = abs(count - 64480) <= 0.05 * 64480
         _report(
@@ -190,7 +190,7 @@ class TestCriterion5:
                               buffer_capacity=0, seed=7, lr=0.01,
                               batch_size=32, epochs_per_task=1,
                               precision="float64")
-            model = build(TcResNet8Config(num_classes=data.num_classes), cfg.seed)
+            model = TcResNet8(TcResNet8Config(num_classes=data.num_classes), cfg.seed)
             state = ad.init_adam(model.parameters, lr=cfg.lr)
             buf = ReservoirBuffer(0, data.num_classes, seed=1)
             sampler = python_stream(cfg.seed, "sampler")

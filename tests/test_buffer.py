@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dekws.buffer import BufferEntry, ReservoirBuffer, occupancy, reservoir_insert, sample_batch
+from dekws.buffer import BufferEntry, ReservoirBuffer
 from dekws.errors import EmptyBufferError, InvalidInputError, InvalidShapeError
 
 
@@ -23,29 +23,44 @@ class TestInsert:
     def test_fill_phase_keeps_offer_order(self):
         buf = ReservoirBuffer(capacity=5, num_classes=3, seed=0)
         for i in range(5):
-            reservoir_insert(buf, entry(i))
+            buf.insert(entry(i))
         assert [e.features[0, 0] for e in buf.entries] == [0.0, 1.0, 2.0, 3.0, 4.0]
-        assert occupancy(buf) == (5, 5)
+        assert buf.occupancy() == (5, 5)
 
     def test_capacity_zero_counts_but_stores_nothing(self):
         buf = ReservoirBuffer(capacity=0, num_classes=3, seed=0)
         for i in range(3):
             buf.insert(entry(i))
-        assert occupancy(buf) == (0, 3)
+        assert buf.occupancy() == (0, 3)
 
     def test_fresh_buffer_occupancy(self):
-        assert occupancy(ReservoirBuffer(4, 3)) == (0, 0)
+        assert ReservoirBuffer(4, 3).occupancy() == (0, 0)
 
     def test_overflow_keeps_len_at_capacity(self):
         buf = ReservoirBuffer(capacity=10, num_classes=3, seed=1)
         for i in range(250):
             buf.insert(entry(i))
-        assert occupancy(buf) == (10, 250)
+        assert buf.occupancy() == (10, 250)
 
     def test_wrong_logit_length_rejected(self):
         buf = ReservoirBuffer(capacity=4, num_classes=5, seed=0)
         with pytest.raises(InvalidShapeError):
             buf.insert(entry(0, num_classes=3))
+
+    def test_features_of_another_shape_rejected(self):
+        buf = ReservoirBuffer(capacity=4, num_classes=3, seed=0)
+        buf.insert(BufferEntry(np.zeros((98, 40)), 0, np.zeros(3)))
+        with pytest.raises(InvalidShapeError, match="features"):
+            buf.insert(BufferEntry(np.zeros((1, 40)), 1, np.zeros(3)))
+        assert buf.occupancy() == (1, 1)
+
+    def test_entries_are_read_only(self):
+        buf = ReservoirBuffer(capacity=4, num_classes=3, seed=0)
+        buf.insert(entry(1))
+        with pytest.raises(ValueError):
+            buf.entries[0].features[0, 0] = 7.0
+        with pytest.raises(ValueError):
+            buf.entries[0].logits[0] = 7.0
 
     def test_stored_arrays_are_insulated_from_caller(self):
         buf = ReservoirBuffer(capacity=4, num_classes=3, seed=0)
@@ -71,25 +86,25 @@ class TestSampleBatch:
         buf = ReservoirBuffer(capacity=8, num_classes=3, seed=0)
         for i in range(3):
             buf.insert(entry(i))
-        got = sample_batch(buf, 10, random.Random(0))
-        assert len(got) == 3
-        assert len({int(e.features[0, 0]) for e in got}) == 3
+        features, labels, logits = buf.sample_batch(10, random.Random(0))
+        assert len(features) == len(labels) == len(logits) == 3
+        assert len({int(f[0, 0]) for f in features}) == 3
 
     def test_large_buffer_draws_distinct_entries(self):
         buf = ReservoirBuffer(capacity=500, num_classes=30, seed=0)
         for i in range(500):
             buf.insert(entry(i, num_classes=30))
-        got = buf.sample_batch(128, random.Random(7))
-        assert len(got) == 128
-        assert len({int(e.features[0, 0]) for e in got}) == 128
+        features, _, _ = buf.sample_batch(128, random.Random(7))
+        assert len(features) == 128
+        assert len({int(f[0, 0]) for f in features}) == 128
 
     def test_two_draws_are_independent_batches(self):
         buf = ReservoirBuffer(capacity=20, num_classes=3, seed=0)
         for i in range(20):
             buf.insert(entry(i))
         rng = random.Random(3)
-        first = {int(e.features[0, 0]) for e in buf.sample_batch(10, rng)}
-        second = {int(e.features[0, 0]) for e in buf.sample_batch(10, rng)}
+        first = {int(f[0, 0]) for f in buf.sample_batch(10, rng)[0]}
+        second = {int(f[0, 0]) for f in buf.sample_batch(10, rng)[0]}
         assert len(first) == len(second) == 10
         assert first != second  # overwhelmingly likely under this seed
 
@@ -106,10 +121,12 @@ class TestSampleBatch:
     def test_sampled_entries_are_copies(self):
         buf = ReservoirBuffer(capacity=4, num_classes=3, seed=0)
         buf.insert(entry(5))
-        got = buf.sample_batch(1, random.Random(0))[0]
-        got.features[:] = 99.0
-        got.logits[:] = 99.0
+        features, labels, logits = buf.sample_batch(1, random.Random(0))
+        features[:] = 99.0
+        labels[:] = 0
+        logits[:] = 99.0
         np.testing.assert_array_equal(buf.entries[0].features, [[5.0]])
+        assert buf.entries[0].label == 2
         np.testing.assert_array_equal(buf.entries[0].logits, [5.0, 5.0, 5.0])
 
 
@@ -136,7 +153,7 @@ class TestUniformity:
         for i in range(50):
             buf.insert(entry(i))
         clone = ReservoirBuffer.from_state(buf.state())
-        assert occupancy(clone) == occupancy(buf)
+        assert clone.occupancy() == buf.occupancy()
         for i in range(50, 120):
             buf.insert(entry(i))
             clone.insert(entry(i))

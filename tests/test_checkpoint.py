@@ -5,15 +5,17 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dekws.buffer import BufferEntry, ReservoirBuffer
 from dekws.checkpoint import load_checkpoint, save_checkpoint
 from dekws.errors import CheckpointError
-from dekws.model import TcResNet8Config, build
+from dekws.model import TcResNet8, TcResNet8Config
 
 
 def trained_model(num_classes=6, dtype=np.float64):
-    model = build(TcResNet8Config(num_classes=num_classes), seed=11, dtype=dtype)
+    model = TcResNet8(TcResNet8Config(num_classes=num_classes), seed=11, dtype=dtype)
     rng = np.random.default_rng(4)
     model.forward(rng.standard_normal((4, 98, 40)), training=True)
     return model
@@ -91,7 +93,7 @@ class TestBufferRoundTrip:
         # The restored generator continues the stream identically.
         rng = np.random.default_rng(5)
         for i in range(40):
-            entry = BufferEntry(rng.standard_normal((2, 2)), i % 6,
+            entry = BufferEntry(rng.standard_normal((98, 40)), i % 6,
                                 rng.standard_normal(6))
             buf.insert(entry)
             loaded.buffer.insert(entry)
@@ -198,3 +200,104 @@ class TestCorruption:
         rewrite_header(path, more_classes)
         with pytest.raises(CheckpointError, match="does not fit"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["input_channels", "kernel_block"])
+    def test_zero_width_model_rejected(self, tmp_path, key):
+        # A bit flip turns "4" into "0"; building that model divided by zero.
+        path = tmp_path / "model.dkws"
+        save_checkpoint(path, trained_model())
+
+        def zero(header):
+            header["model_config"][key] = 0
+            return header
+
+        rewrite_header(path, zero)
+        with pytest.raises(CheckpointError, match="does not fit"):
+            load_checkpoint(path)
+
+
+class TestBufferInvariant:
+    """A buffer header must describe a state the reservoir can reach."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("capacity", 2),     # fewer slots than stored entries
+        ("num_seen", 2),     # fewer offers than stored entries
+        ("num_entries", 0),  # arrays present but declared empty
+        ("num_entries", 3),  # arrays hold more rows than declared
+        ("num_classes", 5),  # stored logits are 6 wide
+    ])
+    def test_broken_invariant_rejected(self, tmp_path, field, value):
+        path = tmp_path / "with_buffer.dkws"
+        save_checkpoint(path, trained_model(), buffer=filled_buffer(n=4))
+
+        def edit(header):
+            header["buffer"][field] = value
+            return header
+
+        rewrite_header(path, edit)
+        with pytest.raises(CheckpointError, match="does not fit"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [
+        # Restoring allocates every slot; this capacity cannot be allocated.
+        lambda buffer: buffer.update(capacity=10**12),
+        lambda buffer: buffer["rng_state"][1].__setitem__(0, 2**64),
+    ])
+    def test_unrepresentable_buffer_rejected(self, tmp_path, edit):
+        path = tmp_path / "with_buffer.dkws"
+        save_checkpoint(path, trained_model(), buffer=filled_buffer(n=4))
+
+        def apply(header):
+            edit(header["buffer"])
+            return header
+
+        rewrite_header(path, apply)
+        with pytest.raises(CheckpointError, match="does not fit"):
+            load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory):
+    """(path, bytes) of a few-kilobyte checkpoint with a full buffer."""
+    cfg = TcResNet8Config(input_channels=4, channels=(2, 2, 2, 2), num_classes=3,
+                          kernel_block=3)
+    buf = ReservoirBuffer(capacity=3, num_classes=3, seed=1)
+    for i in range(5):
+        buf.insert(BufferEntry(np.full((5, 4), float(i)), i % 3, np.full(3, float(i))))
+    path = tmp_path_factory.mktemp("fuzz") / "small.dkws"
+    save_checkpoint(path, TcResNet8(cfg, seed=1), experiment_config={"seed": 1},
+                    buffer=buf)
+    return path, path.read_bytes()
+
+
+def loads_or_raises_checkpoint_error(path, blob):
+    mutated = path.with_name("mutated.dkws")
+    mutated.write_bytes(blob)
+    try:
+        load_checkpoint(mutated)
+    except CheckpointError:
+        pass
+
+
+class TestFuzz:
+    """Damaged files either load or raise CheckpointError, nothing else."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(cut=st.integers(0, 2**31))
+    def test_truncated(self, small_checkpoint, cut):
+        path, raw = small_checkpoint
+        loads_or_raises_checkpoint_error(path, raw[: cut % len(raw)])
+
+    @settings(max_examples=400, deadline=None)
+    @given(index=st.integers(0, 2**31), bit=st.integers(0, 7))
+    def test_bit_flipped(self, small_checkpoint, index, bit):
+        path, raw = small_checkpoint
+        blob = bytearray(raw)
+        blob[index % len(raw)] ^= 1 << bit
+        loads_or_raises_checkpoint_error(path, bytes(blob))
+
+    @settings(max_examples=100, deadline=None)
+    @given(garbage=st.binary(min_size=1, max_size=64))
+    def test_trailing_garbage(self, small_checkpoint, garbage):
+        path, raw = small_checkpoint
+        loads_or_raises_checkpoint_error(path, raw + garbage)

@@ -5,10 +5,10 @@ import json
 import pytest
 
 import dekws.autodiff
-from dekws.cli import main
+from dekws.cli import cmd_eval, main
 from dekws.config import parse_experiment_config
 from dekws.dataset import scan_gsc_layout
-from dekws.errors import InvalidConfigError
+from dekws.errors import CheckpointError, InvalidConfigError
 
 TINY_RUN_CONFIG = """
 # tiny smoke experiment
@@ -148,6 +148,22 @@ class TestCmdRun:
         eval_row = eval_csv.splitlines()[-1]
         run_row = (out / "matrix.csv").read_text().splitlines()[-1]
         assert eval_row.split(",")[1:] == run_row.split(",")[1:]
+
+    def test_eval_with_another_class_count_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "exp.cfg"
+        config.write_text(TINY_RUN_CONFIG)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        eight = tmp_path / "eight.cfg"
+        eight.write_text(TINY_RUN_CONFIG.replace(
+            "dataset.synthetic.num_classes = 4", "dataset.synthetic.num_classes = 8"))
+        capsys.readouterr()
+        with pytest.raises(CheckpointError, match="4 classes, dataset has 8"):
+            cmd_eval(str(out / "checkpoint.dkws"), str(eight))
+        code = main(["eval", "--checkpoint", str(out / "checkpoint.dkws"),
+                     "--config", str(eight)])
+        assert code == 2
+        assert "4 classes, dataset has 8" in capsys.readouterr().err
 
     def test_eval_on_malformed_checkpoint_exits_2(self, tmp_path, capsys):
         config = tmp_path / "exp.cfg"

@@ -22,7 +22,7 @@ from dekws.errors import (
     InvalidScheduleError,
     TrainingFaultError,
 )
-from dekws.model import TcResNet8Config, build
+from dekws.model import TcResNet8, TcResNet8Config
 from dekws.rng import python_stream
 
 
@@ -90,7 +90,7 @@ class TestCombinedLoss:
 
 class TestTrainStep:
     def _setup(self, data, cfg):
-        model = build(TcResNet8Config(num_classes=data.num_classes), cfg.seed)
+        model = TcResNet8(TcResNet8Config(num_classes=data.num_classes), cfg.seed)
         state = ad.init_adam(model.parameters, lr=cfg.lr)
         buf = ReservoirBuffer(cfg.buffer_capacity, data.num_classes, seed=1)
         return model, state, buf
@@ -230,7 +230,7 @@ class TestBatchNormRecalibration:
     def test_fault_inside_pass_restores_running_stats_and_momentum(
             self, tiny_data, tiny_schedule, monkeypatch):
         buf = run_schedule(tiny_schedule, tiny_data, tiny_cfg()).buffer
-        model = build(TcResNet8Config(num_classes=tiny_data.num_classes), 0)
+        model = TcResNet8(TcResNet8Config(num_classes=tiny_data.num_classes), 0)
         stats = [(bn.running_mean.copy(), bn.running_var.copy())
                  for bn in model.batchnorms]
 
@@ -275,6 +275,25 @@ class TestReductionIdentity:
         no_distill = run_schedule(tiny_schedule, tiny_data, tiny_cfg(beta=0.0))
         assert no_rehearsal.report["acc"] >= 0.0
         assert no_distill.report["acc"] >= 0.0
+
+
+class TestReplayFreeStrategies:
+    @pytest.mark.parametrize("strategy", ["finetune", "joint"])
+    def test_run_schedule_matches_run_baseline(self, tiny_data, tiny_schedule, strategy):
+        # tiny_cfg keeps alpha, beta and a buffer capacity; both entry points
+        # must still train without replay.
+        direct = run_schedule(tiny_schedule, tiny_data, tiny_cfg(strategy=strategy))
+        baseline = run_baseline(strategy, tiny_schedule, tiny_data, tiny_cfg())
+        assert param_digest(direct.model) == param_digest(baseline.model)
+        assert direct.matrix.rows == baseline.matrix.rows
+        assert len(direct.buffer) == len(baseline.buffer) == 0
+        assert direct.buffer.num_seen == baseline.buffer.num_seen > 0
+        assert direct.report == baseline.report
+        config = direct.report["config"]
+        assert (config["alpha"], config["beta"], config["buffer_capacity"]) == (0, 0, 0)
+        assert all(s["l_rehearsal"] is None and s["l_distill"] is None
+                   for s in direct.report["loss_curve"])
+        assert len(direct.matrix.rows) == (1 if strategy == "joint" else len(tiny_schedule))
 
 
 class TestRunBaseline:

@@ -5,7 +5,7 @@ import pytest
 
 import dekws.autodiff as ad
 from dekws.errors import InvalidInputError, InvalidShapeError
-from dekws.model import TcResNet8Config, build, count_parameters
+from dekws.model import TcResNet8, TcResNet8Config
 
 # Reconstructed budget for 30 classes: stem 1,968 + blocks (9,240 + 17,184 +
 # 36,528) + head 1,470 = 66,390, within 5% of the reported 64.48K.
@@ -14,40 +14,34 @@ EXACT_PARAM_COUNT = 66390
 
 class TestBuild:
     def test_parameter_count_in_reported_budget(self):
-        model = build(TcResNet8Config(num_classes=30), seed=0)
-        count = count_parameters(model)
+        model = TcResNet8(TcResNet8Config(num_classes=30), seed=0)
+        count = model.count_parameters()
         assert count == EXACT_PARAM_COUNT
         assert abs(count - 64480) <= 0.05 * 64480
 
     def test_same_seed_gives_bit_identical_parameters(self):
-        a = build(TcResNet8Config(), seed=42)
-        b = build(TcResNet8Config(), seed=42)
+        a = TcResNet8(TcResNet8Config(), seed=42)
+        b = TcResNet8(TcResNet8Config(), seed=42)
         for pa, pb in zip(a.parameters, b.parameters):
             assert pa.data.tobytes() == pb.data.tobytes()
 
     def test_different_seeds_differ(self):
-        a = build(TcResNet8Config(), seed=1)
-        b = build(TcResNet8Config(), seed=2)
+        a = TcResNet8(TcResNet8Config(), seed=1)
+        b = TcResNet8(TcResNet8Config(), seed=2)
         assert any(
             pa.data.tobytes() != pb.data.tobytes()
             for pa, pb in zip(a.parameters, b.parameters)
         )
 
     def test_head_size_for_12_classes(self):
-        model = build(TcResNet8Config(num_classes=12), seed=0)
+        model = TcResNet8(TcResNet8Config(num_classes=12), seed=0)
         head_params = model.head.weight.size + model.head.bias.size
         assert head_params == 48 * 12 + 12 == 588
 
     def test_doubling_classes_adds_exactly_head_delta(self):
-        small = count_parameters(build(TcResNet8Config(num_classes=30), seed=0))
-        large = count_parameters(build(TcResNet8Config(num_classes=60), seed=0))
+        small = TcResNet8(TcResNet8Config(num_classes=30), seed=0).count_parameters()
+        large = TcResNet8(TcResNet8Config(num_classes=60), seed=0).count_parameters()
         assert large - small == 48 * 30 + 30 == 1470
-
-    def test_empty_stub_counts_zero(self):
-        class Stub:
-            parameters = []
-
-        assert count_parameters(Stub()) == 0
 
     def test_config_validation(self):
         with pytest.raises(InvalidInputError):
@@ -55,23 +49,31 @@ class TestBuild:
         with pytest.raises(InvalidInputError):
             TcResNet8Config(num_classes=1)
 
+    @pytest.mark.parametrize("field", [
+        dict(input_channels=0), dict(channels=(16, 0, 32, 48)),
+        dict(kernel_first=0), dict(kernel_block=0),
+    ])
+    def test_zero_width_rejected(self, field):
+        with pytest.raises(InvalidInputError, match=">= 1"):
+            TcResNet8Config(**field)
+
 
 class TestForward:
     def test_output_shape_for_default_batch(self):
-        model = build(TcResNet8Config(num_classes=30), seed=0, dtype=np.float32)
+        model = TcResNet8(TcResNet8Config(num_classes=30), seed=0, dtype=np.float32)
         rng = np.random.default_rng(0)
         out = model.forward(rng.standard_normal((128, 98, 40)), training=False)
         assert out.shape == (128, 30)
 
     def test_identical_inputs_give_identical_rows_in_eval(self):
-        model = build(TcResNet8Config(num_classes=30), seed=0)
+        model = TcResNet8(TcResNet8Config(num_classes=30), seed=0)
         rng = np.random.default_rng(1)
         one = rng.standard_normal((1, 98, 40))
         out = model.forward(np.concatenate([one, one]), training=False)
         assert out.data[0].tobytes() == out.data[1].tobytes()
 
     def test_eval_logits_do_not_depend_on_batch_composition(self):
-        model = build(TcResNet8Config(num_classes=30), seed=3)
+        model = TcResNet8(TcResNet8Config(num_classes=30), seed=3)
         rng = np.random.default_rng(2)
         xs = rng.standard_normal((5, 98, 40))
         alone = model.forward(xs[:1], training=False).data[0]
@@ -80,7 +82,7 @@ class TestForward:
 
     def test_temporal_length_traversal(self):
         # 98 -> 49 -> 25 -> 13 through the three stride-2 blocks.
-        model = build(TcResNet8Config(num_classes=30), seed=0)
+        model = TcResNet8(TcResNet8Config(num_classes=30), seed=0)
         x = ad.Tensor(np.zeros((1, 40, 98)))
         h = ad.relu(model.stem_bn(model.stem_conv(x), False))
         assert h.shape[2] == 98
@@ -91,7 +93,7 @@ class TestForward:
         assert lengths == [49, 25, 13]
 
     def test_shortcut_and_main_paths_agree_structurally(self):
-        model = build(TcResNet8Config(num_classes=30), seed=0)
+        model = TcResNet8(TcResNet8Config(num_classes=30), seed=0)
         x = ad.Tensor(np.zeros((2, 40, 98)))
         h = ad.relu(model.stem_bn(model.stem_conv(x), False))
         for block in model.blocks:
@@ -102,12 +104,12 @@ class TestForward:
             h = block(h, False)
 
     def test_wrong_feature_width_rejected(self):
-        model = build(TcResNet8Config(num_classes=30), seed=0)
+        model = TcResNet8(TcResNet8Config(num_classes=30), seed=0)
         with pytest.raises(InvalidShapeError):
             model.forward(np.zeros((2, 98, 39)), training=False)
 
     def test_eval_forward_is_pure(self):
-        model = build(TcResNet8Config(num_classes=12), seed=5)
+        model = TcResNet8(TcResNet8Config(num_classes=12), seed=5)
         rng = np.random.default_rng(3)
         x = rng.standard_normal((4, 98, 40))
         before_means = [bn.running_mean.copy() for bn in model.batchnorms]
@@ -118,31 +120,31 @@ class TestForward:
             np.testing.assert_array_equal(bn.running_mean, mean)
 
     def test_train_mode_updates_running_stats(self):
-        model = build(TcResNet8Config(num_classes=12), seed=5)
+        model = TcResNet8(TcResNet8Config(num_classes=12), seed=5)
         rng = np.random.default_rng(4)
         before = model.stem_bn.running_mean.copy()
         model.forward(rng.standard_normal((4, 98, 40)), training=True)
         assert not np.array_equal(model.stem_bn.running_mean, before)
 
     def test_float32_model_emits_float32(self):
-        model = build(TcResNet8Config(num_classes=12), seed=0, dtype=np.float32)
+        model = TcResNet8(TcResNet8Config(num_classes=12), seed=0, dtype=np.float32)
         out = model.forward(np.zeros((2, 98, 40)), training=False)
         assert out.data.dtype == np.float32
 
 
 class TestStateArrays:
     def test_round_trip_is_bit_exact(self):
-        model = build(TcResNet8Config(num_classes=12), seed=9)
+        model = TcResNet8(TcResNet8Config(num_classes=12), seed=9)
         rng = np.random.default_rng(5)
         model.forward(rng.standard_normal((4, 98, 40)), training=True)
         state = {k: v.copy() for k, v in model.state_arrays().items()}
-        other = build(TcResNet8Config(num_classes=12), seed=17)
+        other = TcResNet8(TcResNet8Config(num_classes=12), seed=17)
         other.load_state_arrays(state)
         for k, v in other.state_arrays().items():
             assert v.tobytes() == state[k].tobytes(), k
 
     def test_mismatched_keys_rejected(self):
-        model = build(TcResNet8Config(num_classes=12), seed=0)
+        model = TcResNet8(TcResNet8Config(num_classes=12), seed=0)
         state = model.state_arrays()
         state.pop("head.bias")
         with pytest.raises(InvalidInputError):
