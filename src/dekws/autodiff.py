@@ -3,7 +3,12 @@
 A Tensor wraps a numpy array and, when gradients are enabled, a backward
 closure plus references to its parent tensors. Calling .backward() on a
 scalar walks the graph in reverse topological order and accumulates .grad
-on every tensor with requires_grad set.
+on every leaf tensor with requires_grad set. The walk releases the graph as
+it goes: once an interior node's closure has run, the node drops its .grad,
+its parents and the closure, so the arrays the closure saved (im2col
+columns, normalized activations, masks) are freed before the walk reaches
+the layers below. Only leaves (parameters, inputs) keep their .grad.
+Walking a released graph again raises InvalidInputError.
 
 Scope is deliberately narrow: 1-D convolution, batch norm, ReLU, global
 average pooling, an affine head, the two losses, and Adam. No broadcasting
@@ -24,8 +29,27 @@ batch composition.
 
 A graph must stay on the thread that built it; the grad-enable flag is
 thread-local so concurrent eval and training do not interfere.
+
+Allocation: a training step allocates and frees tens of megabytes of
+activations, columns and gradients in arrays of up to a few megabytes
+each. glibc's malloc serves a block from fresh mmap pages, one page fault
+per page, when it exceeds an adaptive threshold, and returns the top of
+the heap to the system when more than twice that threshold is free there;
+the threshold starts at 128 KiB and rises to the size of each mmapped
+block freed. Which arrays fault then depends on the order of earlier
+frees, so identical runs took several times more faults, and more time,
+than others. Importing this module pins the mmap threshold at 16 MiB and
+the trim threshold at 64 MiB, in every run: a step's arrays come from the
+heap, and the heap keeps a step's worth of freed pages for the next step.
+Blocks above 16 MiB, such as a whole dataset's features, still get their
+own mapping and give it back when freed, so they do not fragment the
+heap. A MALLOC_MMAP_THRESHOLD_ or MALLOC_TRIM_THRESHOLD_ set in the
+environment is left in force.
 """
 
+import ctypes
+import os
+import sys
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -35,6 +59,33 @@ import numpy as np
 from .errors import InvalidInputError, InvalidShapeError, TrainingFaultError
 
 _FLOAT_DTYPES = (np.float32, np.float64)
+
+# mallopt parameter numbers from glibc's malloc.h.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 16 * 1024 * 1024
+_TRIM_THRESHOLD = 64 * 1024 * 1024
+_MALLOC_ENV = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_")
+
+
+def _pin_malloc_thresholds() -> bool:
+    """Fix glibc's mmap and trim thresholds (see the module docstring).
+
+    Returns whether they were set: False off Linux, without glibc's
+    mallopt, or when the environment already sets either threshold.
+    """
+    if not sys.platform.startswith("linux") or any(v in os.environ for v in _MALLOC_ENV):
+        return False
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    return (mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) == 1
+            and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD) == 1)
+
+
+MALLOC_PINNED = _pin_malloc_thresholds()
 
 _state = threading.local()
 
@@ -106,16 +157,29 @@ class Tensor:
     __rmul__ = __mul__
 
     def backward(self):
-        """Backpropagate from a scalar, accumulating into .grad fields."""
+        """Backpropagate from a scalar, accumulating into leaf .grad fields.
+
+        Releases the graph while walking it (see the module docstring).
+        """
         if self.data.size != 1:
             raise InvalidShapeError(
                 f"backward() needs a scalar root, got shape {self.shape}"
             )
         order = _topological_order(self)
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             if node._backward is not None:
                 node._backward(node.grad)
+                node.grad = None
+                node._parents = ()
+                node._backward = _released
+
+
+def _released(g):
+    raise InvalidInputError(
+        "backward() reached a graph that an earlier backward() already released"
+    )
 
 
 def _topological_order(root: Tensor) -> list:

@@ -10,6 +10,16 @@ produced, so the buffer samples the entire training trajectory rather than
 task snapshots. At the end of each training phase the batch-norm running
 stats used at evaluation are recomputed from one pass over the buffer.
 
+A DE-KWS step keeps one autodiff graph alive at a time. The terms run in
+the order current, rehearsal, distillation, each as forward pass, finiteness
+check and backward pass (seeded with 1, alpha and beta) before the next
+term's forward, so sampler draws and running-stat updates happen in that
+order. The per-term parameter gradients are summed as
+(g_distill + g_rehearsal) + g_current, the order in which one combined
+graph over the three passes accumulated them, so trajectories are the same
+bit for bit. A TrainingFaultError leaves parameters, running stats, Adam
+state and buffer as they were before the step.
+
 All four strategies run in one loop (run_schedule): finetune is alpha =
 beta = 0 with capacity 0, naive rehearsal concatenates a replayed batch into
 a single cross-entropy, and joint is finetune over one phase that pools all
@@ -17,6 +27,7 @@ classes.
 """
 
 import dataclasses
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,6 +102,12 @@ class RunResult:
     buffer: ReservoirBuffer
 
 
+def _finite(loss: ad.Tensor, label: str) -> ad.Tensor:
+    if not np.isfinite(loss.data).all():
+        raise TrainingFaultError(f"non-finite {label} loss component")
+    return loss
+
+
 def combined_loss(l_current, l_rehearsal, l_distill, alpha: float, beta: float):
     """Total objective: current + alpha * rehearsal + beta * distillation.
 
@@ -99,10 +116,8 @@ def combined_loss(l_current, l_rehearsal, l_distill, alpha: float, beta: float):
     non-finite component raises TrainingFaultError.
     """
     def as_tensor(value, label):
-        t = value if isinstance(value, ad.Tensor) else ad.Tensor(float(value))
-        if not np.isfinite(t.data).all():
-            raise TrainingFaultError(f"non-finite {label} loss component")
-        return t
+        return _finite(value if isinstance(value, ad.Tensor) else ad.Tensor(float(value)),
+                       label)
 
     total = as_tensor(l_current, "current-task")
     if l_rehearsal is not None:
@@ -112,13 +127,41 @@ def combined_loss(l_current, l_rehearsal, l_distill, alpha: float, beta: float):
     return total
 
 
+@contextmanager
+def _running_stats_restored_on_error(model: TcResNet8):
+    """Put every batch-norm running stat back if the block raises."""
+    bns = model.batchnorms
+    saved = [(bn.running_mean.copy(), bn.running_var.copy()) for bn in bns]
+    try:
+        yield
+    except BaseException:
+        for bn, (mean, var) in zip(bns, saved):
+            bn.running_mean[:] = mean
+            bn.running_var[:] = var
+        raise
+
+
+def _term_gradients(loss: ad.Tensor, weight: float, label: str, params) -> list:
+    """Check one loss term, backpropagate weight * loss, return its gradients.
+
+    The term's graph is released by the backward walk and the parameters'
+    .grad fields are cleared for the next term.
+    """
+    _finite(loss, label)
+    (loss * weight).backward()
+    grads = [p.grad for p in params]
+    ad.zero_grads(params)
+    return grads
+
+
 def train_step(model: TcResNet8, batch, buf: ReservoirBuffer, cfg: TrainConfig,
                adam_state: ad.AdamState, sampler_rng) -> StepBreakdown:
     """One optimization step; mutates model, buffer, and optimizer state.
 
     batch is (features (N, frames, coeffs), labels (N,)). Returns the loss
     breakdown. The current batch is offered to the buffer with the logits
-    it produced before the parameter update.
+    it produced before the parameter update. A TrainingFaultError leaves
+    parameters, running stats, Adam state and buffer as they were.
     """
     features, labels = batch
     if len(features) == 0:
@@ -126,43 +169,42 @@ def train_step(model: TcResNet8, batch, buf: ReservoirBuffer, cfg: TrainConfig,
     params = model.parameters
     ad.zero_grads(params)
 
-    if cfg.strategy == "naive_rehearsal" and len(buf) > 0:
-        r_features, r_labels, _ = buf.sample_batch(len(features), sampler_rng)
-        merged = np.concatenate([features, r_features])
-        merged_labels = np.concatenate([labels, r_labels])
-        logits = model.forward(merged, training=True)
-        total = combined_loss(
-            ad.cross_entropy_loss(logits, merged_labels), None, None,
-            cfg.alpha, cfg.beta,
-        )
-        current_logits = logits.data[: len(features)]
-        breakdown = StepBreakdown(total.item(), total.item(), None, None)
-    else:
-        logits = model.forward(features, training=True)
-        l_current = ad.cross_entropy_loss(logits, labels)
-        l_rehearsal = None
-        l_distill = None
-        if len(buf) > 0:
-            r_features, r_labels, _ = buf.sample_batch(cfg.batch_size, sampler_rng)
-            l_rehearsal = ad.cross_entropy_loss(
-                model.forward(r_features, training=True), r_labels
+    with _running_stats_restored_on_error(model):
+        if cfg.strategy == "naive_rehearsal" and len(buf) > 0:
+            r_features, r_labels, _ = buf.sample_batch(len(features), sampler_rng)
+            merged = np.concatenate([features, r_features])
+            merged_labels = np.concatenate([labels, r_labels])
+            logits = model.forward(merged, training=True)
+            loss = ad.cross_entropy_loss(logits, merged_labels)
+            grads = _term_gradients(loss, 1.0, "current-task", params)
+            current_logits = logits.data[: len(features)]
+            breakdown = StepBreakdown(loss.item(), loss.item(), None, None)
+        else:
+            logits = model.forward(features, training=True)
+            l_current = ad.cross_entropy_loss(logits, labels)
+            grads = _term_gradients(l_current, 1.0, "current-task", params)
+            current_logits = logits.data
+            l_rehearsal = l_distill = None
+            if len(buf) > 0:
+                r_features, r_labels, _ = buf.sample_batch(cfg.batch_size, sampler_rng)
+                l_rehearsal = ad.cross_entropy_loss(
+                    model.forward(r_features, training=True), r_labels
+                )
+                g_rehearsal = _term_gradients(l_rehearsal, cfg.alpha, "rehearsal", params)
+                d_features, _, d_logits = buf.sample_batch(cfg.batch_size, sampler_rng)
+                l_distill = ad.mse_logit_loss(
+                    ad.Tensor(d_logits),
+                    model.forward(d_features, training=True),
+                )
+                g_distill = _term_gradients(l_distill, cfg.beta, "distillation", params)
+                # The order one combined graph accumulated them in.
+                grads = [(d + r) + c for c, r, d in zip(grads, g_rehearsal, g_distill)]
+            l_terms = [None if t is None else t.item()
+                       for t in (l_current, l_rehearsal, l_distill)]
+            breakdown = StepBreakdown(
+                combined_loss(*l_terms, cfg.alpha, cfg.beta).item(), *l_terms
             )
-            d_features, _, d_logits = buf.sample_batch(cfg.batch_size, sampler_rng)
-            l_distill = ad.mse_logit_loss(
-                ad.Tensor(d_logits),
-                model.forward(d_features, training=True),
-            )
-        total = combined_loss(l_current, l_rehearsal, l_distill, cfg.alpha, cfg.beta)
-        current_logits = logits.data
-        breakdown = StepBreakdown(
-            total.item(),
-            l_current.item(),
-            None if l_rehearsal is None else l_rehearsal.item(),
-            None if l_distill is None else l_distill.item(),
-        )
-
-    total.backward()
-    ad.adam_step(params, [p.grad for p in params], adam_state)
+        ad.adam_step(params, grads, adam_state)
 
     for i in range(len(features)):
         buf.insert(BufferEntry(features[i], int(labels[i]), current_logits[i]))
@@ -223,19 +265,14 @@ def _recalibrate_batchnorm(model: TcResNet8, buf: ReservoirBuffer) -> None:
     """
     features = buf.features[:len(buf)]
     bns = model.batchnorms
-    saved = [(bn.momentum, bn.running_mean.copy(), bn.running_var.copy()) for bn in bns]
+    momenta = [bn.momentum for bn in bns]
     try:
         for bn in bns:
             bn.momentum = 1.0
-        with ad.no_grad():
+        with _running_stats_restored_on_error(model), ad.no_grad():
             model.forward(features, training=True)
-    except BaseException:
-        for bn, (_, mean, var) in zip(bns, saved):
-            bn.running_mean[:] = mean
-            bn.running_var[:] = var
-        raise
     finally:
-        for bn, (momentum, _, _) in zip(bns, saved):
+        for bn, momentum in zip(bns, momenta):
             bn.momentum = momentum
 
 

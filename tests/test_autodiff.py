@@ -1,5 +1,11 @@
 """Op-level forward values, hand oracles, and finite-difference checks."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -420,6 +426,48 @@ class TestGraphMechanics:
             assert np.isfinite(t.grad).all()
 
 
+class TestGraphRelease:
+    def _graph(self):
+        rng = np.random.default_rng(3)
+        x = tensor(rng.standard_normal((2, 3, 8)), name="x")
+        w = tensor(rng.standard_normal((4, 3, 3)), name="w")
+        b = tensor(np.zeros(4), name="b")
+        h = ad.conv1d(x, w, b, 1, 1)
+        r = ad.relu(h)
+        out = ad.tsum(ad.global_avg_pool(r))
+        return (x, w, b), (h, r, out)
+
+    def test_interior_nodes_are_released_and_leaves_keep_gradients(self):
+        leaves, interior = self._graph()
+        interior[-1].backward()
+        for node in interior:
+            assert node.grad is None and node._parents == ()
+        for leaf in leaves:
+            assert leaf.grad is not None and leaf.grad.shape == leaf.shape
+
+    def test_second_backward_on_the_same_root_raises(self):
+        (x, w, b), (_, _, out) = self._graph()
+        out.backward()
+        grads = [t.grad.copy() for t in (x, w, b)]
+        with pytest.raises(InvalidInputError, match="released"):
+            out.backward()
+        for t, g in zip((x, w, b), grads):
+            np.testing.assert_array_equal(t.grad, g)
+
+    def test_new_graph_over_a_released_node_raises(self):
+        _, (_, r, out) = self._graph()
+        out.backward()
+        with pytest.raises(InvalidInputError, match="released"):
+            ad.tsum(r).backward()
+
+    def test_values_stay_readable_after_release(self):
+        _, (h, r, out) = self._graph()
+        before = (h.data.copy(), out.item())
+        out.backward()
+        np.testing.assert_array_equal(h.data, before[0])
+        assert out.item() == before[1]
+
+
 # ---------------------------------------------------------------------------
 # memory-order equivalence: results must not depend on how inputs are laid out
 
@@ -556,3 +604,37 @@ class TestMemoryOrderEquivalence:
                 grad_x, np.repeat(coeffs[:, :, None] / 13, 13, axis=2)
             )
         assert outs[0].tobytes() == np.ascontiguousarray(outs[1]).tobytes()
+
+
+# Three 8 MiB arrays per step: under glibc's adaptive thresholds each step
+# grows the heap by 24 MiB and then trims it, faulting every page again.
+_REUSE_SCRIPT = textwrap.dedent("""
+    import resource
+    import numpy as np
+    import dekws.autodiff as ad
+
+    def step():
+        arrays = [np.ones(1 << 20) for _ in range(3)]
+        del arrays
+
+    step()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(5):
+        step()
+    print(ad.MALLOC_PINNED, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+""")
+
+
+@pytest.mark.skipif(not ad.MALLOC_PINNED, reason="malloc thresholds not pinned here")
+def test_import_pins_malloc_so_repeated_steps_reuse_heap_pages():
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    env["PYTHONPATH"] = str(Path(ad.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _REUSE_SCRIPT], env=env,
+                         capture_output=True, text=True, check=True).stdout.split()
+    assert out[0] == "True"
+    assert int(out[1]) < 100
+
+
+def test_environment_thresholds_are_left_in_force(monkeypatch):
+    monkeypatch.setenv("MALLOC_TRIM_THRESHOLD_", "131072")
+    assert ad._pin_malloc_thresholds() is False

@@ -21,6 +21,7 @@ import tracing  # noqa: E402
 import workloads  # noqa: E402
 
 import dekws.autodiff as ad  # noqa: E402
+import dekws.engine as engine  # noqa: E402
 from dekws.buffer import BufferEntry, ReservoirBuffer  # noqa: E402
 from dekws.checkpoint import load_checkpoint, save_checkpoint  # noqa: E402
 from dekws.engine import TrainConfig, train_step  # noqa: E402
@@ -99,3 +100,24 @@ def test_buffer_hash_survives_a_checkpoint_round_trip(tmp_path):
     path = tmp_path / "with_buffer.dkws"
     save_checkpoint(path, TcResNet8(TcResNet8Config(num_classes=4), seed=0), buffer=buf)
     assert workloads.buffer_hash(load_checkpoint(path).buffer) == workloads.buffer_hash(buf)
+
+
+def test_de_kws_step_runs_three_train_passes_inside_the_step():
+    # The harness reads calls_per_step = 3 and rows_per_step = 3 x batch from
+    # these spans; a fused or threaded step would change them.
+    batch = 4
+    net = TcResNet8(TcResNet8Config(num_classes=4), seed=0)
+    buf = filled_buffer(offers=8)
+    cfg = TrainConfig(batch_size=batch, buffer_capacity=5)
+    rng = np.random.default_rng(0)
+    tracer = tracing.Tracer()
+    with tracing.Instrumented(tracer, full=True):
+        # Looked up on the module, where the harness patches it.
+        engine.train_step(net, (rng.standard_normal((batch, 98, 40)), np.arange(batch)),
+                          buf, cfg, ad.init_adam(net.parameters, cfg.lr), random.Random(0))
+    steps = [i for i, s in enumerate(tracer.spans) if s[tracing.NAME] == "engine.train_step"]
+    passes = [s for s in tracer.spans if s[tracing.NAME].startswith("model.forward")]
+    assert len(steps) == 1
+    assert [s[tracing.NAME] for s in passes] == ["model.forward.train"] * 3
+    assert all(s[tracing.PARENT] == steps[0] for s in passes)
+    assert sum(s[tracing.SIZE] for s in passes) == 3 * batch

@@ -1,13 +1,14 @@
 """Training-loop semantics: loss composition, reductions, determinism."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import dekws.autodiff as ad
 import dekws.engine as engine
-from dekws.buffer import ReservoirBuffer
+from dekws.buffer import BufferEntry, ReservoirBuffer
 from dekws.dataset import SyntheticSpec, build_task_schedule, load_synthetic
 from dekws.engine import (
     TrainConfig,
@@ -328,3 +329,143 @@ class TestRunBaseline:
     def test_deviation_log_reports_non_default_lr(self, tiny_data, tiny_schedule):
         result = run_schedule(tiny_schedule, tiny_data, tiny_cfg())
         assert any("lr=0.01" in note for note in result.report["deviation_log"])
+
+
+# ---------------------------------------------------------------------------
+# one live graph per step: equivalence with one combined graph, atomicity and
+# memory
+
+
+def single_graph_step(model, batch, buf, cfg, adam_state, sampler_rng):
+    """Reference DE-KWS step: all terms' forward passes, one combined backward."""
+    features, labels = batch
+    params = model.parameters
+    ad.zero_grads(params)
+    if cfg.strategy == "naive_rehearsal" and len(buf) > 0:
+        r_features, r_labels, _ = buf.sample_batch(len(features), sampler_rng)
+        logits = model.forward(np.concatenate([features, r_features]), training=True)
+        total = combined_loss(
+            ad.cross_entropy_loss(logits, np.concatenate([labels, r_labels])),
+            None, None, cfg.alpha, cfg.beta,
+        )
+        current_logits = logits.data[: len(features)]
+        breakdown = engine.StepBreakdown(total.item(), total.item(), None, None)
+    else:
+        logits = model.forward(features, training=True)
+        l_current = ad.cross_entropy_loss(logits, labels)
+        l_rehearsal = l_distill = None
+        if len(buf) > 0:
+            r_features, r_labels, _ = buf.sample_batch(cfg.batch_size, sampler_rng)
+            l_rehearsal = ad.cross_entropy_loss(
+                model.forward(r_features, training=True), r_labels)
+            d_features, _, d_logits = buf.sample_batch(cfg.batch_size, sampler_rng)
+            l_distill = ad.mse_logit_loss(
+                ad.Tensor(d_logits), model.forward(d_features, training=True))
+        total = combined_loss(l_current, l_rehearsal, l_distill, cfg.alpha, cfg.beta)
+        current_logits = logits.data
+        breakdown = engine.StepBreakdown(
+            total.item(), l_current.item(),
+            None if l_rehearsal is None else l_rehearsal.item(),
+            None if l_distill is None else l_distill.item(),
+        )
+    total.backward()
+    ad.adam_step(params, [p.grad for p in params], adam_state)
+    for i in range(len(features)):
+        buf.insert(BufferEntry(features[i], int(labels[i]), current_logits[i]))
+    return breakdown
+
+
+def step_state_digest(model, adam_state, buf):
+    """SHA-256 of parameters, running stats, Adam t/m/v and the buffer state."""
+    h = hashlib.sha256()
+    for arr in model.state_arrays().values():
+        h.update(arr.tobytes())
+    h.update(np.int64(adam_state.t).tobytes())
+    for arr in adam_state.m + adam_state.v:
+        h.update(arr.tobytes())
+    state = buf.state()
+    h.update(repr((state["capacity"], state["num_seen"], state["rng_state"])).encode())
+    for x, y, z in state["entries"]:
+        h.update(x.tobytes())
+        h.update(np.int64(y).tobytes())
+        h.update(z.tobytes())
+    return h.hexdigest()
+
+
+def step_fixture(cfg, num_classes):
+    model = TcResNet8(TcResNet8Config(num_classes=num_classes), cfg.seed,
+                      dtype=engine.PRECISIONS[cfg.precision])
+    state = ad.init_adam(model.parameters, lr=cfg.lr)
+    buf = ReservoirBuffer(cfg.buffer_capacity, num_classes, seed=1)
+    return model, state, buf
+
+
+class TestOneLiveGraphPerStep:
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    @pytest.mark.parametrize("strategy, alpha, beta", [
+        ("de_kws", 0.5, 1.0), ("de_kws", 0.0, 1.0), ("de_kws", 0.5, 0.0),
+        ("naive_rehearsal", 0.5, 1.0),
+    ])
+    def test_twenty_steps_equal_the_single_graph_step(
+            self, tiny_data, precision, strategy, alpha, beta):
+        cfg = tiny_cfg(batch_size=8, alpha=alpha, beta=beta, strategy=strategy,
+                       precision=precision)
+        x, y = tiny_data.train_subset(range(tiny_data.num_classes))
+        shuffle = np.random.default_rng(0)
+        batches = [shuffle.choice(len(x), size=8, replace=False) for _ in range(20)]
+        runs = []
+        for step in (train_step, single_graph_step):
+            model, state, buf = step_fixture(cfg, tiny_data.num_classes)
+            sampler = python_stream(0, "sampler")
+            breakdowns, digests = [], []
+            for idx in batches:
+                breakdowns.append(step(model, (x[idx], y[idx]), buf, cfg, state, sampler))
+                digests.append(step_state_digest(model, state, buf))
+            runs.append((breakdowns, digests))
+        assert len(buf) == cfg.buffer_capacity
+        assert runs[0] == runs[1]
+
+    def test_fault_leaves_every_state_unchanged(self, tiny_data):
+        cfg = tiny_cfg(batch_size=8)
+        model, state, buf = step_fixture(cfg, tiny_data.num_classes)
+        x, y = tiny_data.train_subset(range(tiny_data.num_classes))
+        sampler = python_stream(0, "sampler")
+        for start in range(0, 32, 8):
+            train_step(model, (x[start:start + 8], y[start:start + 8]), buf, cfg,
+                       state, sampler)
+        assert len(buf) == cfg.buffer_capacity
+        buf.logits[:] = np.nan
+        before = step_state_digest(model, state, buf)
+        with pytest.raises(TrainingFaultError, match="distillation"):
+            train_step(model, (x[32:40], y[32:40]), buf, cfg, state, sampler)
+        assert step_state_digest(model, state, buf) == before
+
+    def test_step_peak_memory_is_close_to_one_pass(self):
+        batch, num_classes = 32, 4
+        cfg = tiny_cfg(batch_size=batch, buffer_capacity=64, precision="float32")
+        model, state, buf = step_fixture(cfg, num_classes)
+        rng = np.random.default_rng(0)
+        features = rng.standard_normal((batch, 98, 40)).astype(np.float32)
+        labels = np.arange(batch) % num_classes
+        for i in range(cfg.buffer_capacity):
+            buf.insert(BufferEntry(features[i % batch], i % num_classes,
+                                   rng.standard_normal(num_classes)))
+        sampler = python_stream(0, "sampler")
+
+        def traced_peak(fn):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                fn()
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        def one_pass():
+            ad.cross_entropy_loss(model.forward(features, training=True), labels).backward()
+
+        one_pass()
+        pass_peak = traced_peak(one_pass)
+        step_peak = traced_peak(
+            lambda: train_step(model, (features, labels), buf, cfg, state, sampler))
+        assert step_peak <= 1.5 * pass_peak, (step_peak, pass_peak)
