@@ -138,10 +138,6 @@ class Tensor:
             raise InvalidShapeError(f"item() needs a scalar, got shape {self.shape}")
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        """Copy of the value with no graph attached."""
-        return Tensor(self.data.copy())
-
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{tag})"
@@ -149,12 +145,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
     def __mul__(self, other):
         return mul(self, other)
-
-    __rmul__ = __mul__
 
     def backward(self):
         """Backpropagate from a scalar, accumulating into leaf .grad fields.
@@ -226,17 +218,8 @@ def zero_grads(params) -> None:
 # elementwise / structural ops
 
 
-def add(a: Tensor, b) -> Tensor:
-    """a + b for same-shape tensors, or tensor + python scalar."""
-    if not isinstance(b, Tensor):
-        const = float(b)
-        out_data = a.data + np.asarray(const, dtype=a.data.dtype)
-
-        def backward_const(g):
-            _accumulate(a, g)
-
-        return _node(out_data, (a,), backward_const)
-
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """a + b for same-shape tensors."""
     if a.shape != b.shape:
         raise InvalidShapeError(f"add shape mismatch: {a.shape} vs {b.shape}")
 
@@ -296,16 +279,14 @@ def relu(x: Tensor) -> Tensor:
 def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """1-D cross-correlation along the last axis.
 
-    x is (N, C_in, L) or unbatched (C_in, L); weight is (C_out, C_in, K);
-    bias is (C_out,). Output length is floor((L + 2*padding - K)/stride) + 1.
+    x is (N, C_in, L); weight is (C_out, C_in, K); bias is (C_out,). Output
+    length is floor((L + 2*padding - K)/stride) + 1.
     """
     if stride < 1:
         raise InvalidInputError(f"stride must be >= 1, got {stride}")
     if padding < 0:
         raise InvalidInputError(f"padding must be >= 0, got {padding}")
-    unbatched = x.data.ndim == 2
-    xd = x.data[None] if unbatched else x.data
-    wd, bd = weight.data, bias.data
+    xd, wd, bd = x.data, weight.data, bias.data
     if xd.ndim != 3 or wd.ndim != 3:
         raise InvalidShapeError(
             f"conv1d expects (N, C_in, L) and (C_out, C_in, K), got "
@@ -343,11 +324,8 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     # of the batch it sits in.
     np.matmul(w2, cols.transpose(1, 0, 2), out=out_c.transpose(1, 0, 2))
     out_c += bd[:, None, None]
-    out = out_c.transpose(1, 0, 2)
 
     def backward(g):
-        if unbatched:
-            g = g[None]
         g2 = g.transpose(1, 0, 2).reshape(c_out, n * l_out)
         cols2 = cols.reshape(c_in * k, n * l_out)
         _accumulate(bias, g2.sum(axis=1))
@@ -357,10 +335,9 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
             grad_xp = np.zeros((c_in, n, l_pad), dtype=grad_cols.dtype)
             for j in range(k):
                 grad_xp[:, :, j : j + stride * l_out : stride] += grad_cols[:, j]
-            grad_x = grad_xp[:, :, padding : padding + length].transpose(1, 0, 2)
-            _accumulate(x, grad_x[0] if unbatched else grad_x)
+            _accumulate(x, grad_xp[:, :, padding : padding + length].transpose(1, 0, 2))
 
-    return _node(out[0] if unbatched else out, (x, weight, bias), backward)
+    return _node(out_c.transpose(1, 0, 2), (x, weight, bias), backward)
 
 
 def batchnorm1d(

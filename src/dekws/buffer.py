@@ -18,7 +18,12 @@ from .errors import EmptyBufferError, InvalidInputError, InvalidShapeError
 
 @dataclass(frozen=True)
 class BufferEntry:
-    """One unit of dark experience: (features, label, stored logits)."""
+    """One unit of dark experience: (features, label, stored logits).
+
+    The offer type of insert, kept because benchmarks/workloads.py fills the
+    ingest-eval buffer with it; it goes with the benchmark revision in
+    ROADMAP item 2, after which insert takes (features, label, logits).
+    """
 
     features: np.ndarray
     label: int
@@ -52,19 +57,6 @@ class ReservoirBuffer:
 
     def __len__(self) -> int:
         return min(self.num_seen, self.capacity)
-
-    @property
-    def entries(self) -> list[BufferEntry]:
-        """The filled slots as BufferEntry rows of read-only views, in slot order."""
-        n = len(self)
-        if n == 0:
-            return []
-        features = self.features[:n].view()
-        logits = self.logits[:n].view()
-        features.flags.writeable = False
-        logits.flags.writeable = False
-        return [BufferEntry(f, int(y), z)
-                for f, y, z in zip(features, self.labels[:n], logits)]
 
     def insert(self, entry: BufferEntry) -> None:
         """Offer one example; it displaces a uniform victim once full.
@@ -104,13 +96,13 @@ class ReservoirBuffer:
         idx = rng.sample(range(n), min(k, n))
         return self.features[idx], self.labels[idx], self.logits[idx]
 
-    def occupancy(self) -> tuple[int, int]:
-        """(current fill, total examples ever offered)."""
-        return len(self), self.num_seen
-
     def state(self) -> dict:
         """Counters, generator state and (features, label, logits) rows in
-        slot order; from_state restores it bit-exactly."""
+        slot order.
+
+        Kept because benchmarks/workloads.py hashes buffers through it
+        (buffer_hash); it goes with the benchmark revision in ROADMAP item 2.
+        """
         n = len(self)
         entries = []
         if n:
@@ -123,13 +115,6 @@ class ReservoirBuffer:
             "rng_state": self.rng.getstate(),
             "entries": entries,
         }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "ReservoirBuffer":
-        rows = state["entries"]
-        columns = [np.array(column) for column in zip(*rows)] if rows else []
-        return cls.from_arrays(state["capacity"], state["num_classes"],
-                               state["num_seen"], state["rng_state"], *columns)
 
     @classmethod
     def from_arrays(cls, capacity: int, num_classes: int, num_seen: int, rng_state,
@@ -168,7 +153,11 @@ class ReservoirBuffer:
 
 
 def _copy_entry(buf: ReservoirBuffer, slot: int, entry: BufferEntry) -> None:
-    """Write an accepted offer into its slot, allocating on the first one."""
+    """Write an accepted offer into its slot, allocating on the first one.
+
+    A module function so benchmarks/tracing.py (COPY_POINT) can count the
+    copies; it goes with the benchmark revision in ROADMAP item 2.
+    """
     if buf.features is None:
         buf._allocate(entry.features, entry.logits)
     buf.features[slot] = entry.features

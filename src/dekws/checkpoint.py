@@ -7,6 +7,7 @@ save/load round trip is bit-exact for model parameters, running stats, and
 buffer contents (including the reservoir's generator state).
 """
 
+import dataclasses
 import json
 import math
 import struct
@@ -61,14 +62,7 @@ def save_checkpoint(path, model: TcResNet8, experiment_config: dict | None = Non
             arrays.update((name, column[:n]) for name, column in zip(BUFFER_ARRAYS, columns))
     meta, payload = _array_records(arrays)
     header = {
-        "model_config": {
-            "input_channels": model.cfg.input_channels,
-            "channels": list(model.cfg.channels),
-            "num_classes": model.cfg.num_classes,
-            "kernel_first": model.cfg.kernel_first,
-            "kernel_block": model.cfg.kernel_block,
-            "dtype": str(model.dtype),
-        },
+        "model_config": {**dataclasses.asdict(model.cfg), "dtype": str(model.dtype)},
         "experiment_config": experiment_config or {},
         "arrays": meta,
         "buffer": buffer_meta,
@@ -142,21 +136,19 @@ def load_checkpoint(path) -> LoadedCheckpoint:
 def _restore(header: dict, arrays: dict) -> tuple[TcResNet8, ReservoirBuffer | None]:
     """Model and buffer described by a parsed header and its arrays.
 
-    A header value of the wrong type, a missing key or array, an array that
-    does not fit the model, or a buffer that breaks the reservoir invariant
-    (min(num_seen, capacity) rows of num_classes logits, as many as
-    num_entries) raises KeyError, IndexError, TypeError, ValueError or
-    OverflowError; a buffer capacity too large to allocate raises
-    MemoryError.
+    A header value of the wrong type, a missing or unknown model_config
+    key, a missing array, an array that does not fit the model, or a buffer
+    that breaks the reservoir invariant (min(num_seen, capacity) rows of
+    num_classes logits, as many as num_entries) raises KeyError,
+    IndexError, TypeError, ValueError or OverflowError; a buffer capacity
+    too large to allocate raises MemoryError.
     """
     mc = header["model_config"]
-    cfg = TcResNet8Config(
-        input_channels=mc["input_channels"],
-        channels=tuple(mc["channels"]),
-        num_classes=mc["num_classes"],
-        kernel_first=mc["kernel_first"],
-        kernel_block=mc["kernel_block"],
-    )
+    names = [f.name for f in dataclasses.fields(TcResNet8Config)]
+    if not isinstance(mc, dict) or sorted(mc) != sorted([*names, "dtype"]):
+        raise ValueError(f"model_config must be an object with keys {names} and dtype")
+    cfg = TcResNet8Config(**{name: mc[name] for name in names})
+    cfg = dataclasses.replace(cfg, channels=tuple(cfg.channels))
     model = TcResNet8(cfg, seed=0, dtype=np.dtype(mc["dtype"]))
     model_keys = set(model.state_arrays())
     model.load_state_arrays({k: v for k, v in arrays.items() if k in model_keys})

@@ -34,8 +34,6 @@ GSC_V1_WORDS = (
     "up", "wow", "yes", "zero",
 )
 
-BACKGROUND_DIR = "_background_noise_"
-
 
 @dataclass(frozen=True)
 class ManifestRecord:
@@ -51,9 +49,6 @@ class Manifest:
 
     def __len__(self) -> int:
         return len(self.records)
-
-    def subset(self, split: str) -> list:
-        return [r for r in self.records if r.split == split]
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:

@@ -18,7 +18,7 @@ order. The per-term parameter gradients are summed as
 (g_distill + g_rehearsal) + g_current, the order in which one combined
 graph over the three passes accumulated them, so trajectories are the same
 bit for bit. A TrainingFaultError leaves parameters, running stats, Adam
-state and buffer as they were before the step.
+state, buffer and sampler stream as they were before the step.
 
 All four strategies run in one loop (run_schedule): finetune is alpha =
 beta = 0 with capacity 0, naive rehearsal concatenates a replayed batch into
@@ -41,7 +41,13 @@ from .errors import (
     InvalidScheduleError,
     TrainingFaultError,
 )
-from .metrics import AccuracyMatrix, build_report, evaluate_task_accuracy
+from .metrics import (
+    AccuracyMatrix,
+    class_weighted_acc,
+    compute_acc,
+    compute_bwt,
+    evaluate_task_accuracy,
+)
 from .model import TcResNet8, TcResNet8Config
 from .rng import numpy_stream, python_stream, substream_seed
 
@@ -128,16 +134,20 @@ def combined_loss(l_current, l_rehearsal, l_distill, alpha: float, beta: float):
 
 
 @contextmanager
-def _running_stats_restored_on_error(model: TcResNet8):
-    """Put every batch-norm running stat back if the block raises."""
+def _restored_on_error(model: TcResNet8, sampler_rng=None):
+    """Put every batch-norm running stat, and the sampler stream if one is
+    given, back if the block raises."""
     bns = model.batchnorms
     saved = [(bn.running_mean.copy(), bn.running_var.copy()) for bn in bns]
+    sampler_state = None if sampler_rng is None else sampler_rng.getstate()
     try:
         yield
     except BaseException:
         for bn, (mean, var) in zip(bns, saved):
             bn.running_mean[:] = mean
             bn.running_var[:] = var
+        if sampler_rng is not None:
+            sampler_rng.setstate(sampler_state)
         raise
 
 
@@ -161,7 +171,8 @@ def train_step(model: TcResNet8, batch, buf: ReservoirBuffer, cfg: TrainConfig,
     batch is (features (N, frames, coeffs), labels (N,)). Returns the loss
     breakdown. The current batch is offered to the buffer with the logits
     it produced before the parameter update. A TrainingFaultError leaves
-    parameters, running stats, Adam state and buffer as they were.
+    parameters, running stats, Adam state, buffer and sampler_rng as they
+    were.
     """
     features, labels = batch
     if len(features) == 0:
@@ -169,7 +180,7 @@ def train_step(model: TcResNet8, batch, buf: ReservoirBuffer, cfg: TrainConfig,
     params = model.parameters
     ad.zero_grads(params)
 
-    with _running_stats_restored_on_error(model):
+    with _restored_on_error(model, sampler_rng):
         if cfg.strategy == "naive_rehearsal" and len(buf) > 0:
             r_features, r_labels, _ = buf.sample_batch(len(features), sampler_rng)
             merged = np.concatenate([features, r_features])
@@ -269,7 +280,7 @@ def _recalibrate_batchnorm(model: TcResNet8, buf: ReservoirBuffer) -> None:
     try:
         for bn in bns:
             bn.momentum = 1.0
-        with _running_stats_restored_on_error(model), ad.no_grad():
+        with _restored_on_error(model), ad.no_grad():
             model.forward(features, training=True)
     finally:
         for bn, momentum in zip(bns, momenta):
@@ -308,19 +319,18 @@ def _train_phase(model, task, data, cfg, adam_state, buf, shuffle_rng, sampler_r
 
 def _assemble_report(cfg, schedule, data, model, matrix, loss_curve, buf) -> dict:
     val_sizes = [len(data.val_subset(t.class_ids)[0]) for t in schedule]
-    summary = build_report(matrix, model.count_parameters(), val_sizes)
     return {
         "strategy": cfg.strategy,
         "config": dataclasses.asdict(cfg),
         "deviation_log": _deviation_log(cfg),
         "num_tasks": len(schedule),
         "task_classes": [list(t.class_ids) for t in schedule],
-        "parameter_count": summary.parameter_count,
+        "parameter_count": model.count_parameters(),
         "accuracy_matrix": matrix.rows,
-        "per_task_final": summary.per_task_final,
-        "acc": summary.acc,
-        "acc_class_weighted": summary.acc_weighted,
-        "bwt": summary.bwt,
+        "per_task_final": list(matrix.final_row),
+        "acc": compute_acc(matrix),
+        "acc_class_weighted": class_weighted_acc(matrix, val_sizes),
+        "bwt": compute_bwt(matrix) if len(matrix.rows) > 1 else None,
         "buffer_len": len(buf),
         "buffer_num_seen": buf.num_seen,
         "loss_curve": loss_curve,
@@ -370,5 +380,9 @@ def run_schedule(schedule, data: FeaturizedDataset, cfg: TrainConfig) -> RunResu
 
 def run_baseline(strategy: str, schedule, data: FeaturizedDataset,
                  cfg: TrainConfig) -> RunResult:
-    """run_schedule with cfg.strategy replaced by strategy."""
+    """run_schedule with cfg.strategy replaced by strategy.
+
+    Kept because benchmarks/workloads.py (desk_op) calls it for the
+    baselines; it goes with the benchmark revision in ROADMAP item 2.
+    """
     return run_schedule(schedule, data, dataclasses.replace(cfg, strategy=strategy))

@@ -49,34 +49,6 @@ class AccuracyMatrix:
             fh.write("\n".join(lines) + "\n")
 
 
-@dataclass
-class MetricsReport:
-    acc: float
-    bwt: float | None
-    per_task_final: list
-    parameter_count: int
-    acc_weighted: float | None = None
-
-
-def build_report(matrix: AccuracyMatrix, parameter_count: int,
-                 task_sizes=None) -> MetricsReport:
-    """Summarize a finished run; BWT is absent for a single training phase."""
-    try:
-        bwt = compute_bwt(matrix)
-    except UndefinedMetricError:
-        bwt = None
-    weighted = None
-    if task_sizes is not None:
-        weighted = class_weighted_acc(matrix, task_sizes)
-    return MetricsReport(
-        acc=compute_acc(matrix),
-        bwt=bwt,
-        per_task_final=list(matrix.final_row),
-        parameter_count=parameter_count,
-        acc_weighted=weighted,
-    )
-
-
 def evaluate_task_accuracy(model, task: TaskSpec, features: np.ndarray,
                            labels: np.ndarray, batch_size: int = 256) -> float:
     """Fraction of a task's validation examples whose argmax over all

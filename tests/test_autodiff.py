@@ -22,7 +22,7 @@ def tensor(data, grad=True, name=""):
 class TestConv1d:
     def test_identity_kernel_passes_input_through(self):
         rng = np.random.default_rng(0)
-        x = tensor(rng.standard_normal((3, 10)))
+        x = tensor(rng.standard_normal((1, 3, 10)))
         w = np.zeros((3, 3, 1))
         for c in range(3):
             w[c, c, 0] = 1.0
@@ -31,10 +31,10 @@ class TestConv1d:
 
     def test_hand_cross_correlation(self):
         # (1,2,3) * (1,1) -> (1+2, 2+3) = (3, 5)
-        x = tensor([[1.0, 2.0, 3.0]])
+        x = tensor([[[1.0, 2.0, 3.0]]])
         w = tensor([[[1.0, 1.0]]])
         out = ad.conv1d(x, w, tensor([0.0]))
-        np.testing.assert_array_equal(out.data, [[3.0, 5.0]])
+        np.testing.assert_array_equal(out.data, [[[3.0, 5.0]]])
 
     def test_output_length_formula(self):
         x = tensor(np.zeros((1, 16, 98)))
@@ -42,22 +42,16 @@ class TestConv1d:
         out = ad.conv1d(x, w, tensor(np.zeros(24)), stride=2, padding=4)
         assert out.shape == (1, 24, 49)
 
-    def test_batched_matches_unbatched(self):
-        rng = np.random.default_rng(1)
-        xs = rng.standard_normal((4, 3, 12))
-        w = tensor(rng.standard_normal((5, 3, 3)))
-        b = tensor(rng.standard_normal(5))
-        batched = ad.conv1d(tensor(xs), w, b, stride=2, padding=1)
-        for i in range(4):
-            single = ad.conv1d(tensor(xs[i]), w, b, stride=2, padding=1)
-            np.testing.assert_allclose(batched.data[i], single.data, rtol=1e-12)
-
     def test_shape_mismatch_rejected(self):
         with pytest.raises(InvalidShapeError):
-            ad.conv1d(tensor(np.zeros((2, 8))), tensor(np.zeros((4, 3, 3))),
+            ad.conv1d(tensor(np.zeros((1, 2, 8))), tensor(np.zeros((4, 3, 3))),
                       tensor(np.zeros(4)))
         with pytest.raises(InvalidShapeError):
-            ad.conv1d(tensor(np.zeros((3, 2))), tensor(np.zeros((4, 3, 5))),
+            ad.conv1d(tensor(np.zeros((1, 3, 2))), tensor(np.zeros((4, 3, 5))),
+                      tensor(np.zeros(4)))
+        with pytest.raises(InvalidShapeError, match="N, C_in, L"):
+            # An unbatched (C_in, L) input needs an explicit batch axis.
+            ad.conv1d(tensor(np.zeros((3, 8))), tensor(np.zeros((4, 3, 3))),
                       tensor(np.zeros(4)))
 
     def test_gradients_match_finite_differences(self):
@@ -489,9 +483,6 @@ def run_op(op, x_data, coeff_data, params):
 
 def ref_conv1d(xd, wd, bd, stride, padding, g):
     """N-major im2col conv1d and its gradients, as a loop-built reference."""
-    unbatched = xd.ndim == 2
-    if unbatched:
-        xd, g = xd[None], g[None]
     n, c_in, length = xd.shape
     c_out, _, k = wd.shape
     l_out = (length + 2 * padding - k) // stride + 1
@@ -507,8 +498,6 @@ def ref_conv1d(xd, wd, bd, stride, padding, g):
     for j in range(k):
         grad_xp[:, :, j : j + stride * l_out : stride] += grad_cols[:, :, j, :]
     grad_x = grad_xp[:, :, padding : padding + length]
-    if unbatched:
-        out, grad_x = out[0], grad_x[0]
     return out, [grad_x, grad_w, g.sum(axis=(0, 2))]
 
 
@@ -539,7 +528,7 @@ class TestMemoryOrderEquivalence:
     @pytest.mark.parametrize(
         "x_shape, w_shape, stride, padding",
         [
-            ((3, 11), (4, 3, 3), 1, 1),  # unbatched
+            ((1, 3, 11), (4, 3, 3), 1, 1),  # a batch of one
             ((2, 3, 20), (5, 3, 9), 2, 4),
             ((3, 4, 9), (5, 4, 1), 2, 0),  # k = 1, the residual shortcut
             ((2, 3, 8), (4, 3, 3), 1, 0),
@@ -551,7 +540,7 @@ class TestMemoryOrderEquivalence:
         wd, bd = rng.standard_normal(w_shape), rng.standard_normal(w_shape[0])
         length = x_shape[-1]
         l_out = (length + 2 * padding - w_shape[2]) // stride + 1
-        coeffs = rng.standard_normal(x_shape[:-2] + (w_shape[0], l_out))
+        coeffs = rng.standard_normal((x_shape[0], w_shape[0], l_out))
         want_out, want_grads = ref_conv1d(xd, wd, bd, stride, padding, coeffs)
         outs = []
         for layout in (np.ascontiguousarray, channel_major):

@@ -3,8 +3,9 @@
 ``benchmarks/tracing.py`` patches ``dekws`` functions by name and counts
 ``buffer._copy_entry`` calls inside ``ReservoirBuffer.insert``;
 ``benchmarks/workloads.py`` hashes buffers through ``ReservoirBuffer.state``.
-Both modules are imported here as they are, so renaming a patch point or
-changing the buffer snapshot fails this suite, not only the benchmark.
+Both modules are imported here as they are, and every workload runs once at
+smoke size, so renaming a patch point, a name a workload calls, or changing
+the buffer snapshot fails this suite, not only the benchmark.
 """
 
 import importlib
@@ -13,6 +14,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
 sys.path.insert(0, str(BENCH_DIR))
@@ -121,3 +123,19 @@ def test_de_kws_step_runs_three_train_passes_inside_the_step():
     assert [s[tracing.NAME] for s in passes] == ["model.forward.train"] * 3
     assert all(s[tracing.PARENT] == steps[0] for s in passes)
     assert sum(s[tracing.SIZE] for s in passes) == 3 * batch
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_every_workload_runs_at_smoke_size(name, tmp_path):
+    # Goes through run_baseline, BufferEntry inserts and buffer_hash as the
+    # benchmark does, so removing a name it calls fails tier-1 too.
+    wl = workloads.WORKLOADS[name]
+    state = wl.prepare(3, True, tmp_path / name)
+    wl.reset(state)
+    wl.build(state)
+    first, acc = wl.output(state, wl.op(state))
+    assert 0.0 <= acc <= 1.0
+    if name == "ingest-eval":
+        assert first == state.reference
+    else:
+        assert wl.output(state, wl.op(state))[0] == first

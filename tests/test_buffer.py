@@ -24,23 +24,24 @@ class TestInsert:
         buf = ReservoirBuffer(capacity=5, num_classes=3, seed=0)
         for i in range(5):
             buf.insert(entry(i))
-        assert [e.features[0, 0] for e in buf.entries] == [0.0, 1.0, 2.0, 3.0, 4.0]
-        assert buf.occupancy() == (5, 5)
+        assert list(buf.features[:len(buf), 0, 0]) == [0.0, 1.0, 2.0, 3.0, 4.0]
+        assert (len(buf), buf.num_seen) == (5, 5)
 
     def test_capacity_zero_counts_but_stores_nothing(self):
         buf = ReservoirBuffer(capacity=0, num_classes=3, seed=0)
         for i in range(3):
             buf.insert(entry(i))
-        assert buf.occupancy() == (0, 3)
+        assert (len(buf), buf.num_seen) == (0, 3)
 
     def test_fresh_buffer_occupancy(self):
-        assert ReservoirBuffer(4, 3).occupancy() == (0, 0)
+        buf = ReservoirBuffer(4, 3)
+        assert (len(buf), buf.num_seen) == (0, 0)
 
     def test_overflow_keeps_len_at_capacity(self):
         buf = ReservoirBuffer(capacity=10, num_classes=3, seed=1)
         for i in range(250):
             buf.insert(entry(i))
-        assert buf.occupancy() == (10, 250)
+        assert (len(buf), buf.num_seen) == (10, 250)
 
     def test_wrong_logit_length_rejected(self):
         buf = ReservoirBuffer(capacity=4, num_classes=5, seed=0)
@@ -52,15 +53,7 @@ class TestInsert:
         buf.insert(BufferEntry(np.zeros((98, 40)), 0, np.zeros(3)))
         with pytest.raises(InvalidShapeError, match="features"):
             buf.insert(BufferEntry(np.zeros((1, 40)), 1, np.zeros(3)))
-        assert buf.occupancy() == (1, 1)
-
-    def test_entries_are_read_only(self):
-        buf = ReservoirBuffer(capacity=4, num_classes=3, seed=0)
-        buf.insert(entry(1))
-        with pytest.raises(ValueError):
-            buf.entries[0].features[0, 0] = 7.0
-        with pytest.raises(ValueError):
-            buf.entries[0].logits[0] = 7.0
+        assert (len(buf), buf.num_seen) == (1, 1)
 
     def test_stored_arrays_are_insulated_from_caller(self):
         buf = ReservoirBuffer(capacity=4, num_classes=3, seed=0)
@@ -69,8 +62,8 @@ class TestInsert:
         buf.insert(BufferEntry(feats, 1, logits))
         feats[:] = -1.0
         logits[:] = -1.0
-        np.testing.assert_array_equal(buf.entries[0].features, np.ones((2, 2)))
-        np.testing.assert_array_equal(buf.entries[0].logits, [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(buf.features[0], np.ones((2, 2)))
+        np.testing.assert_array_equal(buf.logits[0], [1.0, 2.0, 3.0])
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 30), st.integers(0, 2**31 - 1))
@@ -78,7 +71,7 @@ class TestInsert:
         buf = ReservoirBuffer(capacity=30, num_classes=3, seed=seed)
         for i in range(n):
             buf.insert(entry(i))
-        assert [int(e.features[0, 0]) for e in buf.entries] == list(range(n))
+        assert [int(f) for f in buf.features[:len(buf), 0, 0]] == list(range(n))
 
 
 class TestSampleBatch:
@@ -125,9 +118,9 @@ class TestSampleBatch:
         features[:] = 99.0
         labels[:] = 0
         logits[:] = 99.0
-        np.testing.assert_array_equal(buf.entries[0].features, [[5.0]])
-        assert buf.entries[0].label == 2
-        np.testing.assert_array_equal(buf.entries[0].logits, [5.0, 5.0, 5.0])
+        np.testing.assert_array_equal(buf.features[0], [[5.0]])
+        assert buf.labels[0] == 2
+        np.testing.assert_array_equal(buf.logits[0], [5.0, 5.0, 5.0])
 
 
 class TestUniformity:
@@ -141,8 +134,8 @@ class TestUniformity:
             buf = ReservoirBuffer(capacity, num_classes=3, seed=t)
             for e in entries:
                 buf.insert(e)
-            for e in buf.entries:
-                counts[int(e.features[0, 0])] += 1
+            for f in buf.features[:len(buf), 0, 0]:
+                counts[int(f)] += 1
         rates = counts / trials
         expected = capacity / stream
         assert abs(rates.mean() - expected) < 1e-9  # exactly capacity kept
@@ -152,16 +145,17 @@ class TestUniformity:
         buf = ReservoirBuffer(capacity=6, num_classes=3, seed=42)
         for i in range(50):
             buf.insert(entry(i))
-        clone = ReservoirBuffer.from_state(buf.state())
-        assert clone.occupancy() == buf.occupancy()
+        n = len(buf)
+        clone = ReservoirBuffer.from_arrays(
+            buf.capacity, buf.num_classes, buf.num_seen, buf.rng.getstate(),
+            buf.features[:n], buf.labels[:n], buf.logits[:n],
+        )
+        assert (len(clone), clone.num_seen) == (len(buf), buf.num_seen)
         for i in range(50, 120):
             buf.insert(entry(i))
             clone.insert(entry(i))
-        originals = [(e.label, e.features.tobytes(), e.logits.tobytes())
-                     for e in buf.entries]
-        clones = [(e.label, e.features.tobytes(), e.logits.tobytes())
-                  for e in clone.entries]
-        assert originals == clones
+        for name in ("features", "labels", "logits"):
+            assert getattr(buf, name).tobytes() == getattr(clone, name).tobytes(), name
 
     def test_invalid_construction_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -21,11 +21,17 @@ def trained_model(num_classes=6, dtype=np.float64):
     return model
 
 
+def read_header(path):
+    """A saved checkpoint's parsed JSON header and its length in bytes."""
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack_from("<Q", raw, 8)
+    return json.loads(raw[16 : 16 + header_len]), header_len
+
+
 def rewrite_header(path, edit):
     """Replace a saved checkpoint's JSON header with edit(header)."""
     raw = path.read_bytes()
-    (header_len,) = struct.unpack_from("<Q", raw, 8)
-    header = json.loads(raw[16 : 16 + header_len])
+    header, header_len = read_header(path)
     blob = json.dumps(edit(header)).encode("utf-8")
     path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + header_len :])
 
@@ -85,11 +91,11 @@ class TestBufferRoundTrip:
         save_checkpoint(path, model, buffer=buf)
         loaded = load_checkpoint(path)
         assert loaded.buffer is not None
-        assert loaded.buffer.occupancy() == buf.occupancy()
-        for a, b in zip(buf.entries, loaded.buffer.entries):
-            assert a.label == b.label
-            assert a.features.tobytes() == b.features.tobytes()
-            assert a.logits.tobytes() == b.logits.tobytes()
+        n = len(buf)
+        assert (len(loaded.buffer), loaded.buffer.num_seen) == (n, buf.num_seen)
+        for name in ("labels", "features", "logits"):
+            assert getattr(buf, name)[:n].tobytes() == \
+                getattr(loaded.buffer, name)[:n].tobytes(), name
         # The restored generator continues the stream identically.
         rng = np.random.default_rng(5)
         for i in range(40):
@@ -97,8 +103,8 @@ class TestBufferRoundTrip:
                                 rng.standard_normal(6))
             buf.insert(entry)
             loaded.buffer.insert(entry)
-        assert [e.logits.tobytes() for e in buf.entries] == \
-            [e.logits.tobytes() for e in loaded.buffer.entries]
+        assert buf.logits[:len(buf)].tobytes() == \
+            loaded.buffer.logits[:len(loaded.buffer)].tobytes()
 
     def test_empty_buffer_round_trips(self, tmp_path):
         model = trained_model()
@@ -106,7 +112,7 @@ class TestBufferRoundTrip:
         path = tmp_path / "empty_buffer.dkws"
         save_checkpoint(path, model, buffer=buf)
         loaded = load_checkpoint(path)
-        assert loaded.buffer.occupancy() == (0, 0)
+        assert (len(loaded.buffer), loaded.buffer.num_seen) == (0, 0)
         assert loaded.buffer.capacity == 5
 
 
@@ -214,6 +220,31 @@ class TestCorruption:
         rewrite_header(path, zero)
         with pytest.raises(CheckpointError, match="does not fit"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda mc: {**mc, "width": 16},  # unknown key
+        lambda mc: {k: v for k, v in mc.items() if k != "kernel_first"},  # missing key
+        lambda mc: list(mc.items()),  # not an object
+    ])
+    def test_model_config_of_another_shape_rejected(self, tmp_path, edit):
+        path = tmp_path / "model.dkws"
+        save_checkpoint(path, trained_model())
+
+        def apply(header):
+            header["model_config"] = edit(header["model_config"])
+            return header
+
+        rewrite_header(path, apply)
+        with pytest.raises(CheckpointError, match="model_config must be an object"):
+            load_checkpoint(path)
+
+    def test_model_config_is_the_config_dataclass_and_dtype(self, tmp_path):
+        path = tmp_path / "model.dkws"
+        save_checkpoint(path, trained_model())
+        assert read_header(path)[0]["model_config"] == {
+            "input_channels": 40, "channels": [16, 24, 32, 48], "num_classes": 6,
+            "kernel_first": 3, "kernel_block": 9, "dtype": "float64",
+        }
 
 
 class TestBufferInvariant:

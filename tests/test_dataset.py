@@ -141,8 +141,8 @@ def make_manifest(per_class):
 class TestDeterministicSplit:
     def test_eighty_twenty_cut(self):
         split = deterministic_split(make_manifest([100]), 0.8, seed=1)
-        assert len(split.subset("train")) == 80
-        assert len(split.subset("validation")) == 20
+        splits = [r.split for r in split.records]
+        assert (splits.count("train"), splits.count("validation")) == (80, 20)
 
     def test_same_seed_identical_assignment(self):
         m = make_manifest([40, 40])

@@ -104,7 +104,7 @@ class TestTrainStep:
                                python_stream(0, "sampler"))
         assert breakdown.l_rehearsal is None and breakdown.l_distill is None
         assert breakdown.l_total == breakdown.l_current
-        assert buf.occupancy() == (0, 8)
+        assert (len(buf), buf.num_seen) == (0, 8)
 
     def test_cold_start_has_no_buffer_terms_then_fills(self, tiny_data):
         cfg = tiny_cfg()
@@ -113,7 +113,7 @@ class TestTrainStep:
         first = train_step(model, (x[:10], y[:10]), buf, cfg, state,
                            python_stream(0, "sampler"))
         assert first.l_rehearsal is None and first.l_distill is None
-        assert buf.occupancy() == (10, 10)
+        assert (len(buf), buf.num_seen) == (10, 10)
         second = train_step(model, (x[:10], y[:10]), buf, cfg, state,
                             python_stream(1, "sampler"))
         assert second.l_rehearsal is not None and second.l_distill is not None
@@ -129,8 +129,7 @@ class TestTrainStep:
         model2, state2, buf2 = self._setup(tiny_data, cfg)
         train_step(model2, (x[:4], y[:4]), buf2, cfg, state2,
                    python_stream(0, "sampler"))
-        stored = np.stack([e.logits for e in buf2.entries])
-        np.testing.assert_array_equal(stored, expected)
+        np.testing.assert_array_equal(buf2.logits[:len(buf2)], expected)
 
     def test_empty_batch_rejected(self, tiny_data):
         cfg = tiny_cfg()
@@ -198,11 +197,11 @@ class TestRunSchedule:
 
 
 def buffer_digest(buf):
+    """SHA-256 of the buffer's filled rows."""
     h = hashlib.sha256()
-    for e in buf.entries:
-        h.update(e.features.tobytes())
-        h.update(np.int64(e.label).tobytes())
-        h.update(e.logits.tobytes())
+    if len(buf):
+        for column in (buf.features, buf.labels, buf.logits):
+            h.update(column[:len(buf)].tobytes())
     return h.hexdigest()
 
 
@@ -211,7 +210,7 @@ class TestBatchNormRecalibration:
             self, tiny_data, tiny_schedule):
         result = run_schedule(tiny_schedule, tiny_data, tiny_cfg())
         assert len(result.buffer) > 0
-        features = np.stack([e.features for e in result.buffer.entries])
+        features = result.buffer.features[:len(result.buffer)]
         with ad.no_grad():
             eval_logits = result.model.forward(features, training=False).data
             train_logits = result.model.forward(features, training=True).data
@@ -383,12 +382,8 @@ def step_state_digest(model, adam_state, buf):
     h.update(np.int64(adam_state.t).tobytes())
     for arr in adam_state.m + adam_state.v:
         h.update(arr.tobytes())
-    state = buf.state()
-    h.update(repr((state["capacity"], state["num_seen"], state["rng_state"])).encode())
-    for x, y, z in state["entries"]:
-        h.update(x.tobytes())
-        h.update(np.int64(y).tobytes())
-        h.update(z.tobytes())
+    h.update(repr((buf.capacity, buf.num_seen, buf.rng.getstate())).encode())
+    h.update(buffer_digest(buf).encode())
     return h.hexdigest()
 
 
@@ -435,10 +430,10 @@ class TestOneLiveGraphPerStep:
                        state, sampler)
         assert len(buf) == cfg.buffer_capacity
         buf.logits[:] = np.nan
-        before = step_state_digest(model, state, buf)
+        before = step_state_digest(model, state, buf), sampler.getstate()
         with pytest.raises(TrainingFaultError, match="distillation"):
             train_step(model, (x[32:40], y[32:40]), buf, cfg, state, sampler)
-        assert step_state_digest(model, state, buf) == before
+        assert (step_state_digest(model, state, buf), sampler.getstate()) == before
 
     def test_step_peak_memory_is_close_to_one_pass(self):
         batch, num_classes = 32, 4
