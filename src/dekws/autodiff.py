@@ -52,7 +52,7 @@ import os
 import sys
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -519,27 +519,22 @@ def mse_logit_loss(stored: Tensor, current: Tensor) -> Tensor:
 # optimizer
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
-    """Adam moments and step counter; moments are always float64."""
+    """Adam step size, moments and step counter; moments are always float64."""
 
-    lr: float = 0.1
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    lr: float
+    m: list
+    v: list
     t: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
 
 
-def init_adam(params, lr: float = 0.1, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> AdamState:
+def init_adam(params, lr: float) -> AdamState:
     return AdamState(
         lr=lr,
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
-        t=0,
         m=[np.zeros(p.shape, dtype=np.float64) for p in params],
         v=[np.zeros(p.shape, dtype=np.float64) for p in params],
     )
@@ -572,15 +567,15 @@ def adam_step(params, grads, state: AdamState) -> None:
                 f"non-finite gradient for parameter {p.name!r}; step aborted"
             )
     state.t += 1
-    bc1 = 1.0 - state.beta1**state.t
-    bc2 = 1.0 - state.beta2**state.t
+    bc1 = 1.0 - ADAM_BETA1**state.t
+    bc2 = 1.0 - ADAM_BETA2**state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
         g64 = g.astype(np.float64)
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g64
-        v *= state.beta2
-        v += (1.0 - state.beta2) * np.square(g64)
-        update = state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g64
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * np.square(g64)
+        update = state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         p.data -= update.astype(p.data.dtype)
 
 

@@ -15,9 +15,15 @@ Example:
     train.epochs_per_task = 10
     train.buffer_capacity = 200
 
-Lines are `key = value`; `#` starts a comment. Unknown keys, bad types, and
-contradictory settings (e.g. a finetune run with a nonzero alpha) are
-rejected with the offending line number.
+Lines are `key = value`; `#` starts a comment. `train.*` keys are
+TrainConfig's fields except seed and `dataset.synthetic.*` keys five of
+SyntheticSpec's; each takes its field's type and default. Unknown keys, bad
+types and contradictions are rejected with the offending line: a nonzero
+alpha, beta or buffer under finetune or joint (TrainConfig makes those
+replay-free), alpha or beta under naive_rehearsal, schedule.first or
+per_task under a named layout. The owning dataclass rejects a non-finite or
+non-positive lr and a non-finite or negative alpha, beta, noise_amplitude or
+amplitude_jitter.
 """
 
 import dataclasses
@@ -26,9 +32,13 @@ from pathlib import Path
 
 from .dataset import SyntheticSpec
 from .engine import STRATEGIES, TrainConfig
-from .errors import InvalidConfigError
+from .errors import InvalidConfigError, InvalidInputError
 
 _SCHEDULE_LAYOUTS = ("6task", "11task", "21task", "custom")
+
+# The SyntheticSpec fields a config sets; tone pairs and clip shape stay default.
+_SYNTHETIC_FIELDS = ("num_classes", "examples_per_class", "noise_amplitude",
+                     "amplitude_jitter", "seed")
 
 _KNOWN_KEYS = {
     "seed": int,
@@ -36,23 +46,19 @@ _KNOWN_KEYS = {
     "dataset.kind": str,
     "dataset.train_fraction": float,
     "dataset.gsc.root": str,
-    "dataset.synthetic.num_classes": int,
-    "dataset.synthetic.examples_per_class": int,
-    "dataset.synthetic.noise_amplitude": float,
-    "dataset.synthetic.amplitude_jitter": float,
-    "dataset.synthetic.seed": int,
     "schedule.layout": str,
     "schedule.first": int,
     "schedule.per_task": int,
-    "train.strategy": str,
-    "train.lr": float,
-    "train.batch_size": int,
-    "train.epochs_per_task": int,
-    "train.alpha": float,
-    "train.beta": float,
-    "train.buffer_capacity": int,
-    "train.precision": str,
+    **{f"dataset.synthetic.{f.name}": f.type for f in dataclasses.fields(SyntheticSpec)
+       if f.name in _SYNTHETIC_FIELDS},
+    **{f"train.{f.name}": f.type for f in dataclasses.fields(TrainConfig) if f.name != "seed"},
 }
+
+
+def _section(values: dict, prefix: str) -> dict:
+    """The parsed values under prefix, keyed by field name."""
+    return {key[len(prefix) + 1:]: value for key, value in values.items()
+            if key.startswith(prefix + ".")}
 
 
 @dataclass
@@ -156,13 +162,11 @@ def parse_experiment_config(text: str, source: str = "<config>",
                 f"{where('dataset.gsc.root')}: dataset.kind = synthetic "
                 f"contradicts dataset.gsc.root"
             )
-        synthetic = SyntheticSpec(
-            num_classes=values.get("dataset.synthetic.num_classes", 12),
-            examples_per_class=values.get("dataset.synthetic.examples_per_class", 60),
-            noise_amplitude=values.get("dataset.synthetic.noise_amplitude", 0.05),
-            amplitude_jitter=values.get("dataset.synthetic.amplitude_jitter", 0.2),
-            seed=values.get("dataset.synthetic.seed", seed),
-        )
+        try:
+            synthetic = SyntheticSpec(**{"seed": seed,
+                                         **_section(values, "dataset.synthetic")})
+        except InvalidInputError as exc:
+            raise InvalidConfigError(f"{source}: {exc}") from None
 
     layout = values.get("schedule.layout", "6task")
     if layout not in _SCHEDULE_LAYOUTS:
@@ -170,47 +174,37 @@ def parse_experiment_config(text: str, source: str = "<config>",
             f"{where('schedule.layout')}: schedule.layout must be one of "
             f"{_SCHEDULE_LAYOUTS}, got {layout!r}"
         )
+    for key in ("schedule.first", "schedule.per_task"):
+        if key in values and layout != "custom":
+            raise InvalidConfigError(
+                f"{where(key)}: {key} applies to the custom layout only, "
+                f"not schedule.layout = {layout}"
+            )
 
-    strategy = values.get("train.strategy", "de_kws")
-    if strategy not in STRATEGIES:
+    strategy = values.get("train.strategy")
+    if strategy is not None and strategy not in STRATEGIES:
         raise InvalidConfigError(
             f"{where('train.strategy')}: train.strategy must be one of "
             f"{STRATEGIES}, got {strategy!r}"
         )
-    if strategy in ("finetune", "joint"):
-        for key in ("train.alpha", "train.beta"):
-            if values.get(key, 0.0) != 0.0:
-                raise InvalidConfigError(
-                    f"{where(key)}: {key} = {values[key]} contradicts "
-                    f"train.strategy = {strategy} (must be 0 or unset)"
-                )
-        if values.get("train.buffer_capacity", 0) != 0:
-            raise InvalidConfigError(
-                f"{where('train.buffer_capacity')}: a nonzero buffer "
-                f"contradicts train.strategy = {strategy}"
-            )
     if strategy == "naive_rehearsal":
         for key in ("train.alpha", "train.beta"):
             if key in values:
                 raise InvalidConfigError(
                     f"{where(key)}: {key} is unused by naive_rehearsal; remove it"
                 )
-
-    replay_free = strategy in ("finetune", "joint")
+    section = _section(values, "train")
     try:
-        train = TrainConfig(
-            lr=values.get("train.lr", 0.1),
-            batch_size=values.get("train.batch_size", 128),
-            epochs_per_task=values.get("train.epochs_per_task", 50),
-            alpha=0.0 if replay_free else values.get("train.alpha", 0.5),
-            beta=0.0 if replay_free else values.get("train.beta", 1.0),
-            buffer_capacity=0 if replay_free else values.get("train.buffer_capacity", 500),
-            seed=seed,
-            strategy=strategy,
-            precision=values.get("train.precision", "float64"),
-        )
+        train = TrainConfig(seed=seed, **section)
     except InvalidConfigError as exc:
         raise InvalidConfigError(f"{source}: {exc}") from None
+    # A value TrainConfig changed is one the replay-free rule zeroed.
+    for name, value in section.items():
+        if getattr(train, name) != value:
+            raise InvalidConfigError(
+                f"{where('train.' + name)}: train.{name} = {value} contradicts "
+                f"train.strategy = {train.strategy} (must be 0 or unset)"
+            )
 
     fraction = values.get("dataset.train_fraction", 0.8)
     if not 0.0 < fraction < 1.0:

@@ -34,6 +34,8 @@ GSC_V1_WORDS = (
     "up", "wow", "yes", "zero",
 )
 
+MFCC_CONFIG = MfccConfig()  # the one feature configuration of every loader
+
 
 @dataclass(frozen=True)
 class ManifestRecord:
@@ -245,6 +247,10 @@ class SyntheticSpec:
     sample_rate: int = 16000
 
     def __post_init__(self):
+        for name in ("noise_amplitude", "amplitude_jitter"):
+            value = getattr(self, name)
+            if not 0.0 <= value < np.inf:
+                raise InvalidInputError(f"{name} must be finite and >= 0, got {value}")
         freqs = self.frequencies or default_tone_pairs(self.num_classes)
         if len(freqs) != self.num_classes:
             raise InvalidInputError(
@@ -347,8 +353,8 @@ class FeaturizedDataset:
         return self.subset("validation", class_ids)
 
 
-def featurize(manifest: Manifest, loader, cfg: MfccConfig = MfccConfig()) -> FeaturizedDataset:
-    """Run the MFCC frontend over every record, in manifest order.
+def featurize(manifest: Manifest, loader) -> FeaturizedDataset:
+    """Run the MFCC frontend (MFCC_CONFIG) over every record, in manifest order.
 
     loader maps a record_id to a Waveform (from disk or the in-memory
     synthetic set).
@@ -359,7 +365,7 @@ def featurize(manifest: Manifest, loader, cfg: MfccConfig = MfccConfig()) -> Fea
     labels = []
     splits = []
     for record in manifest.records:
-        mats.append(mfcc(loader(record.record_id), cfg).values)
+        mats.append(mfcc(loader(record.record_id), MFCC_CONFIG).values)
         labels.append(record.class_id)
         splits.append(record.split)
     names: dict[int, str] = {}
@@ -376,18 +382,18 @@ def featurize(manifest: Manifest, loader, cfg: MfccConfig = MfccConfig()) -> Fea
 
 
 def load_gsc(root, seed: int = 0, train_fraction: float = 0.8,
-             cfg: MfccConfig = MfccConfig(), expected_words=None) -> FeaturizedDataset:
+             expected_words=None) -> FeaturizedDataset:
     """Scan, split, and featurize a speech-commands directory tree."""
     root = Path(root)
     manifest = deterministic_split(
         scan_gsc_layout(root, expected_words), train_fraction, seed
     )
-    return featurize(manifest, lambda rid: read_wav_pcm16(root / rid), cfg)
+    return featurize(manifest, lambda rid: read_wav_pcm16(root / rid))
 
 
 def load_synthetic(spec: SyntheticSpec, train_fraction: float = 0.8,
-                   split_seed: int = 0, cfg: MfccConfig = MfccConfig()) -> FeaturizedDataset:
+                   split_seed: int = 0) -> FeaturizedDataset:
     """Synthesize in memory, split, and featurize."""
     waveforms, manifest = synthesize_dataset(spec)
     manifest = deterministic_split(manifest, train_fraction, split_seed)
-    return featurize(manifest, waveforms.__getitem__, cfg)
+    return featurize(manifest, waveforms.__getitem__)

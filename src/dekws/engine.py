@@ -57,6 +57,8 @@ PRECISIONS = {"float32": np.float32, "float64": np.float64}
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Training settings; finetune and joint force alpha = beta = 0, capacity 0."""
+
     lr: float = 0.1
     batch_size: int = 128
     epochs_per_task: int = 50
@@ -68,9 +70,11 @@ class TrainConfig:
     precision: str = "float64"
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
+        if not 0.0 < self.lr < np.inf:
+            raise InvalidConfigError(f"lr must be finite and > 0, got {self.lr}")
+        if not (0.0 <= self.alpha < np.inf and 0.0 <= self.beta < np.inf):
             raise InvalidConfigError(
-                f"alpha and beta must be >= 0, got {self.alpha}, {self.beta}"
+                f"alpha and beta must be finite and >= 0, got {self.alpha}, {self.beta}"
             )
         if self.batch_size < 1:
             raise InvalidConfigError(f"batch_size must be >= 1, got {self.batch_size}")
@@ -90,6 +94,10 @@ class TrainConfig:
             raise InvalidConfigError(
                 f"precision must be one of {sorted(PRECISIONS)}, got {self.precision!r}"
             )
+        if self.strategy in ("finetune", "joint"):
+            object.__setattr__(self, "alpha", 0.0)
+            object.__setattr__(self, "beta", 0.0)
+            object.__setattr__(self, "buffer_capacity", 0)
 
 
 @dataclass
@@ -343,14 +351,11 @@ def run_schedule(schedule, data: FeaturizedDataset, cfg: TrainConfig) -> RunResu
     de_kws, naive_rehearsal and finetune train task by task and evaluate
     every task i <= t after task t, one matrix row per task. joint trains
     one phase pooling every scheduled class and ends with a single row over
-    all tasks (BWT absent). finetune and joint are replay-free: alpha and
-    beta are 0 and the buffer has capacity 0. The report carries ACC, BWT
-    (absent for a single row), per-task accuracies, loss curves, and buffer
-    accounting.
+    all tasks (BWT absent). finetune and joint are replay-free (see
+    TrainConfig). The report carries ACC, BWT (absent for a single row),
+    per-task accuracies, loss curves, and buffer accounting.
     """
     _validate_schedule(schedule, data)
-    if cfg.strategy in ("finetune", "joint"):
-        cfg = dataclasses.replace(cfg, alpha=0.0, beta=0.0, buffer_capacity=0)
     if cfg.strategy == "joint":
         pooled = TaskSpec(0, tuple(c for task in schedule for c in task.class_ids))
         phases = [(pooled, range(len(schedule)))]

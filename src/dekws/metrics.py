@@ -16,6 +16,8 @@ from . import autodiff as ad
 from .dataset import TaskSpec
 from .errors import InvalidInputError, UndefinedMetricError
 
+EVAL_CHUNK = 256  # examples per no-grad eval forward
+
 
 @dataclass
 class AccuracyMatrix:
@@ -50,7 +52,7 @@ class AccuracyMatrix:
 
 
 def evaluate_task_accuracy(model, task: TaskSpec, features: np.ndarray,
-                           labels: np.ndarray, batch_size: int = 256) -> float:
+                           labels: np.ndarray) -> float:
     """Fraction of a task's validation examples whose argmax over all
     classes matches the label. The output space is never restricted to the
     task's own classes.
@@ -61,11 +63,11 @@ def evaluate_task_accuracy(model, task: TaskSpec, features: np.ndarray,
         )
     correct = 0
     with ad.no_grad():
-        for start in range(0, len(features), batch_size):
-            chunk = features[start : start + batch_size]
+        for start in range(0, len(features), EVAL_CHUNK):
+            chunk = features[start : start + EVAL_CHUNK]
             logits = model.forward(chunk, training=False)
             pred = np.argmax(logits.data, axis=1)
-            correct += int((pred == labels[start : start + batch_size]).sum())
+            correct += int((pred == labels[start : start + EVAL_CHUNK]).sum())
     return correct / len(features)
 
 

@@ -1,14 +1,19 @@
 """Config parsing diagnostics and CLI subcommand behavior."""
 
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
 import dekws.autodiff
 from dekws.cli import cmd_eval, main
-from dekws.config import parse_experiment_config
-from dekws.dataset import scan_gsc_layout
+from dekws.config import _KNOWN_KEYS, parse_experiment_config
+from dekws.dataset import SyntheticSpec, scan_gsc_layout
+from dekws.engine import TrainConfig
 from dekws.errors import CheckpointError, InvalidConfigError
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 TINY_RUN_CONFIG = """
 # tiny smoke experiment
@@ -64,7 +69,33 @@ class TestConfigParsing:
             "train.strategy = finetune\n"
             "train.alpha = 0.5\n"
         )
-        with pytest.raises(InvalidConfigError, match="contradicts"):
+        with pytest.raises(InvalidConfigError,
+                           match=r"<config>:3: train.alpha = 0.5 contradicts"):
+            parse_experiment_config(text)
+
+    def test_joint_with_a_buffer_contradicts(self):
+        text = (
+            "dataset.kind = synthetic\n"
+            "train.buffer_capacity = 10\n"
+            "train.strategy = joint\n"
+        )
+        with pytest.raises(InvalidConfigError,
+                           match=r"<config>:2: train.buffer_capacity = 10 contradicts"):
+            parse_experiment_config(text)
+
+    def test_finetune_with_explicit_zero_weights_accepted(self):
+        text = (
+            "dataset.kind = synthetic\n"
+            "train.strategy = finetune\n"
+            "train.alpha = 0\n"
+            "train.buffer_capacity = 0\n"
+        )
+        assert parse_experiment_config(text).train.alpha == 0.0
+
+    @pytest.mark.parametrize("key", ["schedule.first", "schedule.per_task"])
+    def test_custom_sizes_under_a_named_layout_rejected(self, key):
+        text = f"dataset.kind = synthetic\nschedule.layout = 6task\n{key} = 5\n"
+        with pytest.raises(InvalidConfigError, match=rf"<config>:3: {key} applies to"):
             parse_experiment_config(text)
 
     def test_finetune_defaults_to_replay_free(self):
@@ -92,6 +123,29 @@ class TestConfigParsing:
         cfg = parse_experiment_config(TINY_RUN_CONFIG, seed_override=99)
         assert cfg.seed == 99
         assert cfg.train.seed == 99
+
+
+def readme_config_block() -> dict:
+    """{key: value text} of the ini block under the README's "Config format"."""
+    section = README.read_text().split("## Config format", 1)[1]
+    block = section.split("```ini\n", 1)[1].split("```", 1)[0]
+    pairs = [line.split("#", 1)[0].partition("=") for line in block.splitlines()]
+    return {key.strip(): value.strip() for key, _, value in pairs if key.strip()}
+
+
+class TestReadmeConfigBlock:
+    def test_lists_exactly_the_parser_keys(self):
+        assert sorted(readme_config_block()) == sorted(_KNOWN_KEYS)
+
+    def test_shows_the_dataclass_defaults(self):
+        defaults = {f"train.{f.name}": f.default for f in dataclasses.fields(TrainConfig)}
+        defaults.update({f"dataset.synthetic.{f.name}": f.default
+                         for f in dataclasses.fields(SyntheticSpec)})
+        del defaults["dataset.synthetic.seed"]  # defaults to the root seed
+        shown = {key: _KNOWN_KEYS[key](text)
+                 for key, text in readme_config_block().items() if key in defaults}
+        assert shown == {key: defaults[key] for key in shown}
+        assert len(shown) == 12
 
 
 class TestCmdRun:
@@ -126,6 +180,26 @@ class TestCmdRun:
         code = main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("dataset.synthetic.amplitude_jitter", "nan"),
+        ("dataset.synthetic.amplitude_jitter", "-0.2"),
+        ("dataset.synthetic.noise_amplitude", "nan"),
+        ("dataset.synthetic.noise_amplitude", "-0.5"),
+        ("train.alpha", "nan"),
+        ("train.beta", "inf"),
+        ("train.lr", "nan"),
+        ("train.lr", "-1"),
+    ])
+    def test_out_of_range_number_exits_2(self, tmp_path, capsys, key, value):
+        lines = [line for line in TINY_RUN_CONFIG.splitlines()
+                 if not line.startswith(f"{key} ")]
+        config = tmp_path / "bad.cfg"
+        config.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert key.rsplit(".", 1)[1] in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "none.cfg")]) == 2

@@ -1,5 +1,6 @@
 """Training-loop semantics: loss composition, reductions, determinism."""
 
+import dataclasses
 import hashlib
 import tracemalloc
 
@@ -324,6 +325,12 @@ class TestRunBaseline:
             TrainConfig(strategy="sgd")
         with pytest.raises(InvalidConfigError):
             TrainConfig(precision="float16")
+
+    @pytest.mark.parametrize("strategy", ["finetune", "joint"])
+    def test_replay_free_rule_lives_in_train_config(self, strategy):
+        cfg = TrainConfig(strategy=strategy, alpha=0.7, beta=2.0, buffer_capacity=9)
+        assert (cfg.alpha, cfg.beta, cfg.buffer_capacity) == (0.0, 0.0, 0)
+        assert dataclasses.replace(TrainConfig(), strategy=strategy).buffer_capacity == 0
 
     def test_deviation_log_reports_non_default_lr(self, tiny_data, tiny_schedule):
         result = run_schedule(tiny_schedule, tiny_data, tiny_cfg())
