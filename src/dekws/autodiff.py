@@ -27,6 +27,20 @@ outputs do not depend on it. The conv1d forward product and linear's einsum
 still run one reduction per example, so eval outputs do not depend on
 batch composition.
 
+Training kernels: for kernels wider than 1, conv1d's weight gradient is
+(cols2 @ g2.T).T, a GEMM with C_in*K rows instead of C_out, and col2im runs
+position-major: the column gradient is taken over (l, n)-ordered columns,
+each tap adds into a zeroed (C_in, L_pad, N) accumulator (whole
+(C_in, L_out*N) blocks at stride 1, N-long rows at stride 2), and the
+result is copied back channel-major once. The order contract: each padded
+position adds its K terms in ascending tap order, starting from +0.0, as
+the (C_in, N, L_pad) scatter it replaced did, so the bits are the same.
+k = 1 convs (the residual shortcuts) keep g2 @ cols2.T and that scatter: at
+2 BLAS threads the tall product differs in the last bits for block 1's
+shortcut at N = 144 and 200, and the wide one is faster at that shape.
+Train-mode batch norm takes its float64 mean and variance from one float64
+copy of the rows, subtracting and squaring in place.
+
 A graph must stay on the thread that built it; the grad-enable flag is
 thread-local so concurrent eval and training do not interfere.
 
@@ -329,13 +343,26 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
         g2 = g.transpose(1, 0, 2).reshape(c_out, n * l_out)
         cols2 = cols.reshape(c_in * k, n * l_out)
         _accumulate(bias, g2.sum(axis=1))
-        _accumulate(weight, (g2 @ cols2.T).reshape(wd.shape))
+        if k == 1:  # the shortcut convs; see "Training kernels" above
+            _accumulate(weight, (g2 @ cols2.T).reshape(wd.shape))
+            if x.requires_grad:
+                grad_cols = (w2.T @ g2).reshape(c_in, n, l_out)
+                grad_xp = np.zeros((c_in, n, l_pad), dtype=grad_cols.dtype)
+                grad_xp[:, :, : stride * l_out : stride] += grad_cols
+                _accumulate(x, grad_xp[:, :, padding : padding + length].transpose(1, 0, 2))
+            return
+        _accumulate(weight, (cols2 @ g2.T).T.reshape(wd.shape))
         if x.requires_grad:
-            grad_cols = (w2.T @ g2).reshape(c_in, k, n, l_out)
-            grad_xp = np.zeros((c_in, n, l_pad), dtype=grad_cols.dtype)
+            # Position-major col2im over (l, n)-ordered columns.
+            g_ln = g.transpose(1, 2, 0).reshape(c_out, l_out * n)
+            grad_cols = (w2.T @ g_ln).reshape(c_in, k, l_out, n)
+            grad_xp = np.zeros((c_in, l_pad, n), dtype=grad_cols.dtype)
             for j in range(k):
-                grad_xp[:, :, j : j + stride * l_out : stride] += grad_cols[:, j]
-            _accumulate(x, grad_xp[:, :, padding : padding + length].transpose(1, 0, 2))
+                grad_xp[:, j : j + stride * l_out : stride] += grad_cols[:, j]
+            grad_x = np.ascontiguousarray(
+                grad_xp[:, padding : padding + length].transpose(0, 2, 1)
+            )
+            _accumulate(x, grad_x.transpose(1, 0, 2))
 
     return _node(out_c.transpose(1, 0, 2), (x, weight, bias), backward)
 
@@ -383,8 +410,9 @@ def batchnorm1d(
             raise InvalidInputError(
                 f"train-mode batch norm needs N*L >= 2, got N={n}, L={length}"
             )
-        mean = rows.mean(axis=1, dtype=np.float64)
-        sq_dev = np.subtract(rows, mean[:, None], dtype=np.float64)
+        sq_dev = rows.astype(np.float64)
+        mean = sq_dev.mean(axis=1)
+        sq_dev -= mean[:, None]
         np.square(sq_dev, out=sq_dev)
         var = sq_dev.mean(axis=1)
         running_mean[:] = (1.0 - momentum) * running_mean + momentum * mean
@@ -401,20 +429,21 @@ def batchnorm1d(
     def backward(g):
         g2 = g.transpose(1, 0, 2).reshape(c, count)
         _accumulate(beta, g2.sum(axis=1))
-        _accumulate(gamma, (g2 * xhat).sum(axis=1))
+        scratch = g2 * xhat
+        _accumulate(gamma, scratch.sum(axis=1))
         if not x.requires_grad:
             return
         if training:
             # dx = inv_std * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)),
-            # built in place in dxhat's buffer.
+            # built in place in dxhat's buffer with one scratch array.
             dxhat = g2 * gamma.data[:, None]
             mean_dxhat = dxhat.mean(axis=1, keepdims=True)
-            prod = dxhat * xhat
-            mean_dxhat_xhat = prod.mean(axis=1, keepdims=True)
-            np.multiply(xhat, mean_dxhat_xhat, out=prod)
+            np.multiply(dxhat, xhat, out=scratch)
+            mean_dxhat_xhat = scratch.mean(axis=1, keepdims=True)
+            np.multiply(xhat, mean_dxhat_xhat, out=scratch)
             dx = dxhat
             dx -= mean_dxhat
-            dx -= prod
+            dx -= scratch
             dx *= inv_std[:, None]
         else:
             dx = g2 * (gamma.data * inv_std)[:, None]

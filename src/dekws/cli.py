@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 gradcheck failure, 2 config/validation error,
 """
 
 import argparse
+import hashlib
 import json
 import sys
 import time
@@ -54,6 +55,34 @@ def _build_schedule(cfg: ExperimentConfig, num_classes: int):
     )
 
 
+def _sha256(arrays) -> str:
+    """SHA-256 over (name, array) pairs: each name, dtype and shape, then the
+    array's bytes in C order."""
+    h = hashlib.sha256()
+    for name, arr in arrays:
+        arr = np.ascontiguousarray(arr)
+        h.update(f"{name}:{arr.dtype.str}:{arr.shape}".encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+def run_digests(model: TcResNet8, buf) -> dict:
+    """report.json's digests of a run's end state.
+
+    params_sha256 covers every parameter and running statistic in
+    state_arrays order (the bytes of benchmarks/workloads.py param_hash);
+    buffer_sha256 covers num_seen and the filled rows of the features,
+    labels and logits.
+    """
+    filled = [] if buf.features is None else [
+        (name, getattr(buf, name)[:len(buf)]) for name in ("features", "labels", "logits")
+    ]
+    return {
+        "params_sha256": _sha256(model.state_arrays().items()),
+        "buffer_sha256": _sha256([("num_seen", np.asarray(buf.num_seen))] + filled),
+    }
+
+
 def cmd_run(config_path: str, seed: int | None = None, out: str | None = None) -> int:
     cfg = read_experiment_config(config_path, seed_override=seed, out_override=out)
     if cfg.out_dir is None:
@@ -69,6 +98,7 @@ def cmd_run(config_path: str, seed: int | None = None, out: str | None = None) -
     report = dict(result.report)
     report["experiment_config"] = cfg.effective_dict()
     report["wall_clock_seconds"] = round(time.monotonic() - started, 3)
+    report.update(run_digests(result.model, result.buffer))
     (out_dir / "report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n"
     )

@@ -266,8 +266,17 @@ class SyntheticSpec:
         object.__setattr__(self, "frequencies", tuple(freqs))
 
 
+MAX_DEFAULT_CLASSES = 81  # f1 = 220 + 97c stays below 8 kHz up to class 80
+
+
 def default_tone_pairs(num_classes: int) -> tuple:
-    """Distinct, well-separated (f1, f2) pairs below 8 kHz."""
+    """Distinct, well-separated (f1, f2) pairs below 8 kHz, for at most
+    MAX_DEFAULT_CLASSES classes."""
+    if num_classes > MAX_DEFAULT_CLASSES:
+        raise InvalidInputError(
+            f"num_classes must be at most {MAX_DEFAULT_CLASSES} with the default "
+            f"tone pairs, got {num_classes}"
+        )
     pairs = []
     for c in range(num_classes):
         f1 = 220.0 + 97.0 * c

@@ -300,17 +300,24 @@ def _train_phase(model, task, data, cfg, adam_state, buf, shuffle_rng, sampler_r
     """Train over one task's training split for cfg.epochs_per_task epochs.
 
     If the buffer is then non-empty, the batch-norm running stats are
-    recomputed from it (see _recalibrate_batchnorm).
+    recomputed from it (see _recalibrate_batchnorm). A TrainingFaultError
+    is re-raised with the task id, epoch and step index within the epoch
+    ahead of its message.
     """
     train_x, train_y = data.train_subset(task.class_ids)
     n = len(train_x)
     for epoch in range(cfg.epochs_per_task):
         perm = shuffle_rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
+        for step, start in enumerate(range(0, n, cfg.batch_size)):
             idx = perm[start : start + cfg.batch_size]
-            breakdown = train_step(
-                model, (train_x[idx], train_y[idx]), buf, cfg, adam_state, sampler_rng,
-            )
+            try:
+                breakdown = train_step(
+                    model, (train_x[idx], train_y[idx]), buf, cfg, adam_state, sampler_rng,
+                )
+            except TrainingFaultError as exc:
+                raise TrainingFaultError(
+                    f"task {task.task_id}, epoch {epoch}, step {step}: {exc}"
+                ) from exc
             loss_curve.append(
                 {
                     "task": task.task_id,

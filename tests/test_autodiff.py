@@ -595,6 +595,135 @@ class TestMemoryOrderEquivalence:
         assert outs[0].tobytes() == np.ascontiguousarray(outs[1]).tobytes()
 
 
+# ---------------------------------------------------------------------------
+# byte identity: the training kernels reproduce the bits of the kernels they
+# replaced, which are kept here as references
+
+
+# TC-ResNet-8's conv layers on 98 frames: (C_in, C_out, K, stride, padding, L).
+TC_RESNET8_CONVS = [
+    (40, 16, 3, 1, 1, 98),  # stem
+    (16, 24, 9, 2, 4, 98), (24, 24, 9, 1, 4, 49), (16, 24, 1, 2, 0, 98),  # block 1
+    (24, 32, 9, 2, 4, 49), (32, 32, 9, 1, 4, 25), (24, 32, 1, 2, 0, 49),  # block 2
+    (32, 48, 9, 2, 4, 25), (48, 48, 9, 1, 4, 13), (32, 48, 1, 2, 0, 25),  # block 3
+]
+
+
+def previous_conv1d(xd, wd, bd, stride, padding, g):
+    """conv1d as computed before position-major col2im: output, then the x,
+    weight and bias gradients. The weight gradient is g2 @ cols2.T, and
+    col2im adds each tap into a (C_in, N, L_pad) array."""
+    n, c_in, length = xd.shape
+    c_out, _, k = wd.shape
+    l_pad = length + 2 * padding
+    l_out = (l_pad - k) // stride + 1
+    xp = np.zeros((c_in, n, l_pad), dtype=xd.dtype)
+    xp[:, :, padding : padding + length] = xd.transpose(1, 0, 2)
+    cols = np.stack([xp[:, :, j : j + stride * l_out : stride] for j in range(k)], axis=1)
+    cols = cols.reshape(c_in * k, n, l_out)
+    w2 = wd.reshape(c_out, c_in * k)
+    out_c = np.empty((c_out, n, l_out), dtype=xd.dtype)
+    np.matmul(w2, cols.transpose(1, 0, 2), out=out_c.transpose(1, 0, 2))
+    out_c += bd[:, None, None]
+    g2 = g.transpose(1, 0, 2).reshape(c_out, n * l_out)
+    cols2 = cols.reshape(c_in * k, n * l_out)
+    grad_cols = (w2.T @ g2).reshape(c_in, k, n, l_out)
+    grad_xp = np.zeros((c_in, n, l_pad), dtype=xd.dtype)
+    for j in range(k):
+        grad_xp[:, :, j : j + stride * l_out : stride] += grad_cols[:, j]
+    grad_x = grad_xp[:, :, padding : padding + length].transpose(1, 0, 2)
+    return out_c.transpose(1, 0, 2), [grad_x, (g2 @ cols2.T).reshape(wd.shape),
+                                      g2.sum(axis=1)]
+
+
+def previous_batchnorm1d_train(xd, gamma, beta, running_mean, running_var, g,
+                               momentum=0.1, eps=1e-5):
+    """Train-mode batchnorm1d as computed before the one-copy statistics:
+    output, then the x, gamma and beta gradients; updates the running stats."""
+    n, c, length = xd.shape
+    rows = xd.transpose(1, 0, 2).reshape(c, n * length)
+    mean = rows.mean(axis=1, dtype=np.float64)
+    sq_dev = np.subtract(rows, mean[:, None], dtype=np.float64)
+    np.square(sq_dev, out=sq_dev)
+    var = sq_dev.mean(axis=1)
+    running_mean[:] = (1.0 - momentum) * running_mean + momentum * mean
+    running_var[:] = (1.0 - momentum) * running_var + momentum * var
+    inv_std = (1.0 / np.sqrt(var + eps)).astype(xd.dtype)
+    xhat = np.subtract(rows, mean.astype(xd.dtype)[:, None])
+    xhat *= inv_std[:, None]
+    out = xhat * gamma[:, None] + beta[:, None]
+    g2 = g.transpose(1, 0, 2).reshape(c, n * length)
+    dxhat = g2 * gamma[:, None]
+    mean_dxhat = dxhat.mean(axis=1, keepdims=True)
+    mean_dxhat_xhat = (dxhat * xhat).mean(axis=1, keepdims=True)
+    dx = ((dxhat - mean_dxhat) - xhat * mean_dxhat_xhat) * inv_std[:, None]
+    return (out.reshape(c, n, length).transpose(1, 0, 2),
+            [dx.reshape(c, n, length).transpose(1, 0, 2), (g2 * xhat).sum(axis=1),
+             g2.sum(axis=1)])
+
+
+def relu_like_gradient(rng, shape, dtype):
+    """A channel-major upstream gradient with ReLU's zeros, -0.0 included."""
+    g = rng.standard_normal(shape) * (rng.random(shape) > 0.3)
+    return channel_major(g.astype(dtype))
+
+
+def backward_through(out, g):
+    """Backpropagate sum(out * g), which seeds out's gradient with g exactly."""
+    ad.tsum(ad.mul(out, ad.Tensor(g))).backward()
+
+
+def assert_same_bytes(got, want):
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [1, 16, 128, 200])
+@pytest.mark.parametrize("layer", TC_RESNET8_CONVS,
+                         ids=[f"{c[0]}-{c[1]}-k{c[2]}-s{c[3]}" for c in TC_RESNET8_CONVS])
+class TestTrainingKernelsAreByteIdentical:
+    def test_conv1d(self, layer, n, dtype):
+        c_in, c_out, k, stride, padding, length = layer
+        l_out = (length + 2 * padding - k) // stride + 1
+        rng = np.random.default_rng(21)
+        xd = channel_major(rng.standard_normal((n, c_in, length)).astype(dtype))
+        wd = (rng.standard_normal((c_out, c_in, k)) / np.sqrt(c_in * k)).astype(dtype)
+        bd = rng.standard_normal(c_out).astype(dtype)
+        g = relu_like_gradient(rng, (n, c_out, l_out), dtype)
+        x, w, b = (ad.Tensor(a.copy(), requires_grad=True) for a in (xd, wd, bd))
+        out = ad.conv1d(x, w, b, stride=stride, padding=padding)
+        backward_through(out, g)
+        want_out, want_grads = previous_conv1d(xd, wd, bd, stride, padding, g)
+        assert_same_bytes(out.data, want_out)
+        for got, want in zip((x.grad, w.grad, b.grad), want_grads):
+            assert_same_bytes(got, want)
+
+    def test_batchnorm1d_train_mode(self, layer, n, dtype):
+        _, c, k, stride, padding, length = layer
+        l_out = (length + 2 * padding - k) // stride + 1
+        rng = np.random.default_rng(22)
+        xd = channel_major((rng.standard_normal((n, c, l_out)) * 2.0 + 0.5).astype(dtype))
+        gamma = (1.0 + 0.2 * rng.standard_normal(c)).astype(dtype)
+        beta = (0.1 * rng.standard_normal(c)).astype(dtype)
+        run_mean, run_var = rng.standard_normal(c), rng.uniform(0.5, 2.0, c)
+        g = relu_like_gradient(rng, (n, c, l_out), dtype)
+        x, gm, bt = (ad.Tensor(a.copy(), requires_grad=True) for a in (xd, gamma, beta))
+        rm, rv = run_mean.copy(), run_var.copy()
+        out = ad.batchnorm1d(x, gm, bt, rm, rv, training=True)
+        backward_through(out, g)
+        want_rm, want_rv = run_mean.copy(), run_var.copy()
+        want_out, want_grads = previous_batchnorm1d_train(
+            xd, gamma, beta, want_rm, want_rv, g
+        )
+        assert_same_bytes(out.data, want_out)
+        assert_same_bytes(rm, want_rm)
+        assert_same_bytes(rv, want_rv)
+        for got, want in zip((x.grad, gm.grad, bt.grad), want_grads):
+            assert_same_bytes(got, want)
+
+
 # Three 8 MiB arrays per step: under glibc's adaptive thresholds each step
 # grows the heap by 24 MiB and then trims it, faulting every page again.
 _REUSE_SCRIPT = textwrap.dedent("""

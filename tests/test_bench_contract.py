@@ -9,6 +9,7 @@ the buffer snapshot fails this suite, not only the benchmark.
 """
 
 import importlib
+import json
 import random
 import sys
 from pathlib import Path
@@ -26,6 +27,7 @@ import dekws.autodiff as ad  # noqa: E402
 import dekws.engine as engine  # noqa: E402
 from dekws.buffer import BufferEntry, ReservoirBuffer  # noqa: E402
 from dekws.checkpoint import load_checkpoint, save_checkpoint  # noqa: E402
+from dekws.cli import main  # noqa: E402
 from dekws.engine import TrainConfig, train_step  # noqa: E402
 from dekws.model import TcResNet8, TcResNet8Config  # noqa: E402
 
@@ -139,3 +141,19 @@ def test_every_workload_runs_at_smoke_size(name, tmp_path):
         assert first == state.reference
     else:
         assert wl.output(state, wl.op(state))[0] == first
+
+
+def test_report_params_digest_is_the_benchmark_param_hash(tmp_path):
+    config = tmp_path / "exp.cfg"
+    config.write_text("\n".join([
+        "seed = 3", "dataset.kind = synthetic", "dataset.synthetic.num_classes = 4",
+        "dataset.synthetic.examples_per_class = 10", "schedule.layout = custom",
+        "schedule.first = 2", "schedule.per_task = 2", "train.batch_size = 16",
+        "train.epochs_per_task = 1", "train.buffer_capacity = 24",
+        "train.precision = float32",
+    ]) + "\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    model = load_checkpoint(out / "checkpoint.dkws").model
+    assert report["params_sha256"] == workloads.param_hash(model)

@@ -4,10 +4,13 @@ import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dekws.autodiff
-from dekws.cli import cmd_eval, main
+import dekws.cli
+from dekws.checkpoint import load_checkpoint
+from dekws.cli import cmd_eval, main, run_digests
 from dekws.config import _KNOWN_KEYS, parse_experiment_config
 from dekws.dataset import SyntheticSpec, scan_gsc_layout
 from dekws.engine import TrainConfig
@@ -200,6 +203,50 @@ class TestCmdRun:
         assert code == 2
         assert key.rsplit(".", 1)[1] in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_more_classes_than_default_tone_pairs_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "hundred.cfg"
+        config.write_text(TINY_RUN_CONFIG.replace(
+            "dataset.synthetic.num_classes = 4", "dataset.synthetic.num_classes = 100"))
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "num_classes must be at most 81" in err and "got 100" in err
+        assert "Hz" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_training_fault_exits_3_naming_where_it_happened(
+            self, tmp_path, capsys, monkeypatch):
+        load = dekws.cli._load_dataset
+
+        def nan_task_rows(cfg):
+            data = load(cfg)
+            task = dekws.cli._build_schedule(cfg, data.num_classes)[1]
+            data.features[data.labels == task.class_ids[0]] = np.nan
+            return data
+
+        monkeypatch.setattr(dekws.cli, "_load_dataset", nan_task_rows)
+        config = tmp_path / "exp.cfg"
+        config.write_text(TINY_RUN_CONFIG)
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "training fault: task 1, epoch 0, step 0: non-finite" in capsys.readouterr().err
+
+    def test_report_digests_identify_the_end_state(self, tmp_path):
+        config = tmp_path / "exp.cfg"
+        config.write_text(TINY_RUN_CONFIG)
+        reports = []
+        for out in (tmp_path / "o1", tmp_path / "o2"):
+            assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+            reports.append(json.loads((out / "report.json").read_text()))
+        digests = [{k: r[k] for k in ("params_sha256", "buffer_sha256")} for r in reports]
+        assert digests[0] == digests[1]
+        loaded = load_checkpoint(tmp_path / "o1" / "checkpoint.dkws")
+        assert run_digests(loaded.model, loaded.buffer) == digests[0]
+        loaded.model.parameters[3].data.view(np.uint8)[0] ^= 1
+        flipped = run_digests(loaded.model, loaded.buffer)
+        assert flipped["params_sha256"] != digests[0]["params_sha256"]
+        assert flipped["buffer_sha256"] == digests[0]["buffer_sha256"]
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "none.cfg")]) == 2

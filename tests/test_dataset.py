@@ -8,10 +8,12 @@ import pytest
 
 from dekws.dataset import (
     GSC_V1_WORDS,
+    MAX_DEFAULT_CLASSES,
     Manifest,
     ManifestRecord,
     SyntheticSpec,
     build_task_schedule,
+    default_tone_pairs,
     deterministic_split,
     featurize,
     load_synthetic,
@@ -253,6 +255,21 @@ class TestSynthesize:
             SyntheticSpec(num_classes=2, frequencies=((440.0, 880.0), (440.0, 880.0)))
         with pytest.raises(InvalidInputError):
             SyntheticSpec(num_classes=1, frequencies=((440.0, 9000.0),))
+
+    def test_default_tone_pairs_cover_81_classes_and_reject_more(self):
+        pairs = default_tone_pairs(MAX_DEFAULT_CLASSES)
+        assert MAX_DEFAULT_CLASSES == 81
+        assert len(set(pairs)) == 81
+        assert all(0 < f < 8000 for pair in pairs for f in pair)
+        # Defaults written before the limit; reference data depends on them.
+        assert (pairs[0], pairs[37], pairs[80]) == (
+            (220.0, 1230.0), (3809.0, 1424.0), (7980.0, 2704.0))
+        assert SyntheticSpec(num_classes=81).frequencies == pairs
+        with pytest.raises(InvalidInputError,
+                           match="num_classes must be at most 81 .* got 82"):
+            SyntheticSpec(num_classes=82)
+        explicit = tuple((100.0 + c, 200.0) for c in range(90))
+        assert SyntheticSpec(num_classes=90, frequencies=explicit).frequencies == explicit
 
     def test_classes_separate_through_the_frontend(self):
         spec = SyntheticSpec(num_classes=4, examples_per_class=12,

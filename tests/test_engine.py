@@ -25,7 +25,7 @@ from dekws.errors import (
     TrainingFaultError,
 )
 from dekws.model import TcResNet8, TcResNet8Config
-from dekws.rng import python_stream
+from dekws.rng import numpy_stream, python_stream
 
 
 @pytest.fixture(scope="module")
@@ -195,6 +195,40 @@ class TestRunSchedule:
         result = run_schedule(schedule[:1], tiny_data, tiny_cfg())
         assert result.report["bwt"] is None
         assert len(result.matrix.rows) == 1
+
+
+class TestFaultLocation:
+    def test_nan_feature_names_task_epoch_and_step_and_leaves_state(
+            self, tiny_data, tiny_schedule, monkeypatch):
+        cfg = tiny_cfg(batch_size=4)
+        n0, n1 = (len(tiny_data.train_subset(t.class_ids)[0]) for t in tiny_schedule)
+        shuffle = numpy_stream(cfg.seed, "shuffle")
+        shuffle.permutation(n0)  # task 0's one epoch
+        perm = shuffle.permutation(n1)
+        # A NaN in the row task 1 visits in its last step, so the index is not 0.
+        rows = np.flatnonzero((tiny_data.splits == "train")
+                              & np.isin(tiny_data.labels, tiny_schedule[1].class_ids))
+        data = dataclasses.replace(tiny_data, features=tiny_data.features.copy())
+        data.features[rows[perm[-1]], 5, 3] = np.nan
+        expected_step = (n1 - 1) // cfg.batch_size
+        assert expected_step > 0
+
+        calls = []
+        real_step = engine.train_step
+
+        def recording_step(model, batch, buf, step_cfg, adam_state, sampler_rng):
+            calls.append((model, adam_state, buf, step_state_digest(model, adam_state, buf)))
+            return real_step(model, batch, buf, step_cfg, adam_state, sampler_rng)
+
+        monkeypatch.setattr(engine, "train_step", recording_step)
+        with pytest.raises(TrainingFaultError) as caught:
+            run_schedule(tiny_schedule, data, cfg)
+        assert str(caught.value) == (
+            f"task 1, epoch 0, step {expected_step}: non-finite current-task loss component"
+        )
+        assert len(calls) == -(-n0 // cfg.batch_size) + expected_step + 1
+        model, adam_state, buf, before = calls[-1]
+        assert step_state_digest(model, adam_state, buf) == before
 
 
 def buffer_digest(buf):
