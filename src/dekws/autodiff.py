@@ -5,8 +5,8 @@ closure plus references to its parent tensors. Calling .backward() on a
 scalar walks the graph in reverse topological order and accumulates .grad
 on every leaf tensor with requires_grad set. The walk releases the graph as
 it goes: once an interior node's closure has run, the node drops its .grad,
-its parents and the closure, so the arrays the closure saved (im2col
-columns, normalized activations, masks) are freed before the walk reaches
+its parents and the closure, so the arrays the closure saved (padded conv
+inputs, normalized activations, masks) are freed before the walk reaches
 the layers below. Only leaves (parameters, inputs) keep their .grad.
 Walking a released graph again raises InvalidInputError.
 
@@ -26,6 +26,16 @@ padding/im2col copy and batchnorm1d's row view absorb the layout, and their
 outputs do not depend on it. The conv1d forward product and linear's einsum
 still run one reduction per example, so eval outputs do not depend on
 batch composition.
+
+Conv1d columns: no whole-batch im2col array exists in the forward pass,
+with or without gradients. The forward gathers each example's
+(C_in*K, L_out) columns contiguously, CONV_CHUNK examples at a time, and
+runs one GEMM per example into the channel-major output. The graph saves
+the padded (C_in, N, L_pad) input, a view of x when padding is 0, and the
+backward rebuilds the (C_in*K, N*L_out) columns once for its GEMMs and
+drops them before col2im. Every per-example GEMM multiplies the same
+matrices as a GEMM over strided whole-batch columns did, only with a
+smaller leading dimension, so outputs and gradients keep their bits.
 
 Training kernels: for kernels wider than 1, conv1d's weight gradient is
 (cols2 @ g2.T).T, a GEMM with C_in*K rows instead of C_out, and col2im runs
@@ -290,6 +300,22 @@ def relu(x: Tensor) -> Tensor:
 # network layers
 
 
+# Examples per conv1d forward column chunk. The stem's float64 columns take
+# 94 KB per example, so a chunk of 32 holds 3 MB: far below one layer's
+# activations, and enough columns per chunk that the loop costs nothing.
+CONV_CHUNK = 32
+
+
+def _windows(xp: np.ndarray, k: int, l_out: int, stride: int) -> np.ndarray:
+    """(N, C_in, K, L_out) view of a channel-major (C_in, N, L_pad) padded
+    input: element [i, c, j, l] is xp[c, i, j + stride * l]."""
+    s_c, s_n, s_l = xp.strides
+    return np.lib.stride_tricks.as_strided(
+        xp, shape=(xp.shape[1], xp.shape[0], k, l_out),
+        strides=(s_n, s_c, s_l, stride * s_l), writeable=False,
+    )
+
+
 def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """1-D cross-correlation along the last axis.
 
@@ -327,21 +353,24 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
         xp[:, :, padding : padding + length] = xc
     else:
         xp = xc
-    s_c, s_n, s_l = xp.strides
-    windows = np.lib.stride_tricks.as_strided(
-        xp, shape=(c_in, k, n, l_out), strides=(s_c, s_l, s_n, stride * s_l)
-    )
-    cols = np.ascontiguousarray(windows).reshape(c_in * k, n, l_out)
     w2 = wd.reshape(c_out, c_in * k)
-    out_c = np.empty((c_out, n, l_out), dtype=np.result_type(wd, cols))
+    out_c = np.empty((c_out, n, l_out), dtype=np.result_type(wd, xd))
     # One GEMM per example keeps each output's reduction order independent
-    # of the batch it sits in.
-    np.matmul(w2, cols.transpose(1, 0, 2), out=out_c.transpose(1, 0, 2))
+    # of the batch it sits in; the columns exist one chunk at a time.
+    chunk = min(n, CONV_CHUNK)
+    chunk_cols = np.empty((chunk, c_in, k, l_out), dtype=xd.dtype)
+    for start in range(0, n, chunk):
+        m = min(chunk, n - start)
+        np.copyto(chunk_cols[:m], _windows(xp[:, start : start + m], k, l_out, stride))
+        np.matmul(w2, chunk_cols[:m].reshape(m, c_in * k, l_out),
+                  out=out_c[:, start : start + m].transpose(1, 0, 2))
     out_c += bd[:, None, None]
 
     def backward(g):
         g2 = g.transpose(1, 0, 2).reshape(c_out, n * l_out)
-        cols2 = cols.reshape(c_in * k, n * l_out)
+        cols2 = np.ascontiguousarray(
+            _windows(xp, k, l_out, stride).transpose(1, 2, 0, 3)
+        ).reshape(c_in * k, n * l_out)
         _accumulate(bias, g2.sum(axis=1))
         if k == 1:  # the shortcut convs; see "Training kernels" above
             _accumulate(weight, (g2 @ cols2.T).reshape(wd.shape))
@@ -352,6 +381,7 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
                 _accumulate(x, grad_xp[:, :, padding : padding + length].transpose(1, 0, 2))
             return
         _accumulate(weight, (cols2 @ g2.T).T.reshape(wd.shape))
+        del cols2  # col2im does not read the columns
         if x.requires_grad:
             # Position-major col2im over (l, n)-ordered columns.
             g_ln = g.transpose(1, 2, 0).reshape(c_out, l_out * n)

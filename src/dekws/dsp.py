@@ -121,10 +121,17 @@ def pad_or_trim(w: Waveform, target_length: int) -> Waveform:
     return Waveform(out, w.sample_rate)
 
 
+@functools.lru_cache(maxsize=8)
 def hann_window(length: int) -> np.ndarray:
-    """Periodic Hann window: 0.5 - 0.5*cos(2*pi*n/N)."""
+    """Periodic Hann window: 0.5 - 0.5*cos(2*pi*n/N).
+
+    Built once per length and shared by every caller, so it is returned
+    read-only.
+    """
     n = np.arange(length, dtype=np.float64)
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * n / length)
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * n / length)
+    window.flags.writeable = False
+    return window
 
 
 def stft_power(w: Waveform, cfg: MfccConfig, window: np.ndarray | None = None) -> np.ndarray:
@@ -153,7 +160,7 @@ def stft_power(w: Waveform, cfg: MfccConfig, window: np.ndarray | None = None) -
         strides=(cfg.hop_length * stride, stride),
     )
     spectrum = np.fft.rfft(frames * window, n=cfg.fft_size, axis=1)
-    return (spectrum.real**2 + spectrum.imag**2).astype(np.float64)
+    return spectrum.real**2 + spectrum.imag**2
 
 
 def hz_to_mel(f):

@@ -4,11 +4,15 @@ Each optimization step combines three terms: cross-entropy on the current
 batch, cross-entropy on a batch replayed from the buffer (weighted alpha),
 and mean-squared error between stored logits and the live network's logits
 on an independently drawn buffer batch (weighted beta). Buffer terms vanish
-while the buffer is empty. After the update, every current example is
-offered to the reservoir together with the pre-update logits the step just
-produced, so the buffer samples the entire training trajectory rather than
-task snapshots. At the end of each training phase the batch-norm running
-stats used at evaluation are recomputed from one pass over the buffer.
+while the buffer is empty. A buffer term weighted 0 is skipped: its batch is
+still drawn, so the sampler stream is the one the full step draws, its loss
+is recorded as None, and the running stats its pass would have moved are
+overwritten by the end-of-phase recomputation before any evaluation. After
+the update, every current example is offered to the reservoir together with
+the pre-update logits the step just produced, so the buffer samples the
+entire training trajectory rather than task snapshots. At the end of each
+training phase the batch-norm running stats used at evaluation are
+recomputed from one pass over the buffer.
 
 A DE-KWS step keeps one autodiff graph alive at a time. The terms run in
 the order current, rehearsal, distillation, each as forward pass, finiteness
@@ -205,19 +209,28 @@ def train_step(model: TcResNet8, batch, buf: ReservoirBuffer, cfg: TrainConfig,
             current_logits = logits.data
             l_rehearsal = l_distill = None
             if len(buf) > 0:
+                # A zero-weighted term is skipped, but its batch is still
+                # drawn, so the sampler stream does not depend on alpha, beta.
+                replay_grads = None
                 r_features, r_labels, _ = buf.sample_batch(cfg.batch_size, sampler_rng)
-                l_rehearsal = ad.cross_entropy_loss(
-                    model.forward(r_features, training=True), r_labels
-                )
-                g_rehearsal = _term_gradients(l_rehearsal, cfg.alpha, "rehearsal", params)
+                if cfg.alpha:
+                    l_rehearsal = ad.cross_entropy_loss(
+                        model.forward(r_features, training=True), r_labels
+                    )
+                    replay_grads = _term_gradients(l_rehearsal, cfg.alpha, "rehearsal",
+                                                   params)
                 d_features, _, d_logits = buf.sample_batch(cfg.batch_size, sampler_rng)
-                l_distill = ad.mse_logit_loss(
-                    ad.Tensor(d_logits),
-                    model.forward(d_features, training=True),
-                )
-                g_distill = _term_gradients(l_distill, cfg.beta, "distillation", params)
-                # The order one combined graph accumulated them in.
-                grads = [(d + r) + c for c, r, d in zip(grads, g_rehearsal, g_distill)]
+                if cfg.beta:
+                    l_distill = ad.mse_logit_loss(
+                        ad.Tensor(d_logits),
+                        model.forward(d_features, training=True),
+                    )
+                    g_distill = _term_gradients(l_distill, cfg.beta, "distillation", params)
+                    replay_grads = g_distill if replay_grads is None else [
+                        d + r for r, d in zip(replay_grads, g_distill)]
+                if replay_grads is not None:
+                    # (d + r) + c, the order one combined graph accumulated them in.
+                    grads = [b + c for c, b in zip(grads, replay_grads)]
             l_terms = [None if t is None else t.item()
                        for t in (l_current, l_rehearsal, l_distill)]
             breakdown = StepBreakdown(

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 import dekws.autodiff as ad
 from dekws.errors import InvalidInputError, InvalidShapeError, TrainingFaultError
+from dekws.model import TcResNet8, TcResNet8Config
 
 
 def tensor(data, grad=True, name=""):
@@ -756,3 +758,97 @@ def test_import_pins_malloc_so_repeated_steps_reuse_heap_pages():
 def test_environment_thresholds_are_left_in_force(monkeypatch):
     monkeypatch.setenv("MALLOC_TRIM_THRESHOLD_", "131072")
     assert ad._pin_malloc_thresholds() is False
+
+
+# ---------------------------------------------------------------------------
+# no-grad conv1d: the forward without a graph (evaluation, batch-norm
+# recalibration) gives the bits of the kernels it replaced as well
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [1, 16, 128, 200, 500])
+@pytest.mark.parametrize("layer", TC_RESNET8_CONVS,
+                         ids=[f"{c[0]}-{c[1]}-k{c[2]}-s{c[3]}" for c in TC_RESNET8_CONVS])
+def test_no_grad_conv1d_is_byte_identical(layer, n, dtype):
+    c_in, c_out, k, stride, padding, length = layer
+    l_out = (length + 2 * padding - k) // stride + 1
+    rng = np.random.default_rng(23)
+    xd = channel_major(rng.standard_normal((n, c_in, length)).astype(dtype))
+    wd = (rng.standard_normal((c_out, c_in, k)) / np.sqrt(c_in * k)).astype(dtype)
+    bd = rng.standard_normal(c_out).astype(dtype)
+    x, w, b = (ad.Tensor(a.copy(), requires_grad=True) for a in (xd, wd, bd))
+    with ad.no_grad():
+        out = ad.conv1d(x, w, b, stride=stride, padding=padding)
+    assert out._backward is None
+    g = np.zeros((n, c_out, l_out), dtype=dtype)
+    want_out, _ = previous_conv1d(xd, wd, bd, stride, padding, g)
+    assert_same_bytes(out.data, want_out)
+
+
+def previous_conv1d_forward(x, weight, bias, stride=1, padding=0):
+    """Drop-in for ad.conv1d computing previous_conv1d's output, no graph."""
+    n, _, length = x.shape
+    c_out, _, k = weight.shape
+    g = np.zeros((n, c_out, (length + 2 * padding - k) // stride + 1), dtype=x.dtype)
+    out, _ = previous_conv1d(x.data, weight.data, bias.data, stride, padding, g)
+    return ad.Tensor(out)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [1, 16, 128, 200, 500])
+@pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
+def test_no_grad_model_forward_matches_previous_conv1d(monkeypatch, training, n, dtype):
+    features = np.random.default_rng(24).standard_normal((n, 98, 40))
+    nets = [TcResNet8(TcResNet8Config(num_classes=12), seed=5, dtype=dtype)
+            for _ in range(2)]
+    with ad.no_grad():
+        got = nets[0].forward(features, training=training).data
+        monkeypatch.setattr(ad, "conv1d", previous_conv1d_forward)
+        want = nets[1].forward(features, training=training).data
+    assert_same_bytes(got, want)
+    for a, b in zip(nets[0].state_arrays().values(), nets[1].state_arrays().values()):
+        assert_same_bytes(a, b)
+
+
+# ---------------------------------------------------------------------------
+# conv1d memory: the forward builds its columns a chunk of examples at a
+# time and the graph keeps the padded input, not the columns
+
+
+MiB = 1 << 20
+
+
+def traced(fn):
+    """(result, bytes still held after fn, peak bytes during fn), by tracemalloc."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        current, peak = tracemalloc.get_traced_memory()
+        return result, current - base, peak - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_float32_training_graph_at_batch_128_stays_under_32_mib():
+    net = TcResNet8(TcResNet8Config(num_classes=30), seed=0, dtype=np.float32)
+    features = np.random.default_rng(25).standard_normal((128, 98, 40)).astype(np.float32)
+    labels = np.arange(128) % 30
+    loss, held, _ = traced(
+        lambda: ad.cross_entropy_loss(net.forward(features, training=True), labels))
+    assert held <= 32 * MiB, held / MiB
+    loss.backward()  # the graph is still whole and walkable
+    assert all(p.grad is not None for p in net.parameters)
+
+
+def test_float64_no_grad_forward_over_500_rows_peaks_under_55_mib():
+    # The shape of the default-config batch-norm recalibration pass.
+    net = TcResNet8(TcResNet8Config(num_classes=30), seed=0, dtype=np.float64)
+    features = np.random.default_rng(26).standard_normal((500, 98, 40))
+
+    def forward():
+        with ad.no_grad():
+            return net.forward(features, training=True)
+
+    _, _, peak = traced(forward)
+    assert peak <= 55 * MiB, peak / MiB

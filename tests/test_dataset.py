@@ -2,6 +2,7 @@
 
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from dekws.dataset import (
     GSC_V1_WORDS,
     MAX_DEFAULT_CLASSES,
+    MFCC_CONFIG,
     Manifest,
     ManifestRecord,
     SyntheticSpec,
@@ -23,7 +25,7 @@ from dekws.dataset import (
     write_synthetic_tree,
     write_wav_pcm16,
 )
-from dekws.dsp import Waveform
+from dekws.dsp import Waveform, mfcc
 from dekws.errors import (
     InvalidDatasetError,
     InvalidInputError,
@@ -326,3 +328,31 @@ class TestFeaturize:
     def test_empty_manifest_rejected(self):
         with pytest.raises(InvalidDatasetError):
             featurize(Manifest([]), lambda rid: None)
+
+
+class TestStreamedSynthesis:
+    def test_streamed_features_equal_stacked_per_clip_mfcc(self):
+        spec = SyntheticSpec(num_classes=3, examples_per_class=7, seed=4)
+        data = load_synthetic(spec, split_seed=2)
+        waveforms, manifest = synthesize_dataset(spec)
+        manifest = deterministic_split(manifest, 0.8, seed=2)
+        want = np.stack([mfcc(waveforms[r.record_id], MFCC_CONFIG).values
+                         for r in manifest.records])
+        assert data.features.dtype == want.dtype and data.features.shape == want.shape
+        assert data.features.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(data.labels, [r.class_id for r in manifest.records])
+        np.testing.assert_array_equal(data.splits, [r.split for r in manifest.records])
+
+    def test_load_holds_the_features_and_one_block_of_clips(self):
+        # 120 clips of 62.5 KiB float32 samples (7.3 MiB), 3.6 MiB of
+        # features; the bound leaves 2 MiB for one 32-clip synthesis block
+        # and 2 MiB for one clip's frontend temporaries.
+        spec = SyntheticSpec(num_classes=4, examples_per_class=30, seed=3)
+        load_synthetic(spec)  # warm the filterbank and window caches
+        tracemalloc.start()
+        try:
+            data = load_synthetic(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= data.features.nbytes + (4 << 20), peak / (1 << 20)

@@ -122,6 +122,13 @@ class TestStftPower:
         with pytest.raises(InvalidInputError):
             stft_power(Waveform(np.zeros(100, dtype=np.float32)), MfccConfig())
 
+    def test_power_is_float64_and_the_window_a_shared_read_only_array(self):
+        wave = Waveform(np.random.default_rng(8).uniform(-0.5, 0.5, 16000)
+                        .astype(np.float32))
+        assert stft_power(wave, MfccConfig()).dtype == np.float64
+        window = hann_window(400)
+        assert window is hann_window(400) and not window.flags.writeable
+
 
 class TestMelFilterbank:
     def test_all_zero_spectrogram_hits_log_floor(self):
