@@ -77,7 +77,10 @@ def save_checkpoint(path, model: TcResNet8, experiment_config: dict | None = Non
 
 
 def load_checkpoint(path) -> LoadedCheckpoint:
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise CheckpointError(f"{path}: cannot read ({exc})") from exc
     if len(raw) < 16 or raw[:4] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (magic)")
     (version,) = struct.unpack_from("<I", raw, 4)

@@ -31,9 +31,9 @@ from .dataset import (
     write_synthetic_tree,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
-from .engine import run_schedule
+from .engine import evaluate_tasks, run_schedule
 from .errors import CheckpointError, DekwsError, TrainingFaultError
-from .metrics import AccuracyMatrix, evaluate_task_accuracy
+from .metrics import AccuracyMatrix
 from .model import TcResNet8, TcResNet8Config
 
 EXIT_OK = 0
@@ -83,12 +83,25 @@ def run_digests(model: TcResNet8, buf) -> dict:
     }
 
 
+def _writable_dir(out) -> Path:
+    """Create the output directory out if needed and check that a file can be
+    written in it; DekwsError if not. Called before any data is loaded."""
+    out_dir = Path(out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        probe = out_dir / ".write_probe"
+        probe.write_bytes(b"")
+        probe.unlink()
+    except OSError as exc:
+        raise DekwsError(f"output directory {out} is not writable: {exc}") from exc
+    return out_dir
+
+
 def cmd_run(config_path: str, seed: int | None = None, out: str | None = None) -> int:
     cfg = read_experiment_config(config_path, seed_override=seed, out_override=out)
     if cfg.out_dir is None:
         raise DekwsError("no output directory: set out_dir in the config or pass --out")
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _writable_dir(cfg.out_dir)
 
     started = time.monotonic()
     data = _load_dataset(cfg)
@@ -116,8 +129,9 @@ def cmd_run(config_path: str, seed: int | None = None, out: str | None = None) -
 
 
 def cmd_eval(checkpoint_path: str, config_path: str, out: str | None = None) -> int:
-    loaded = load_checkpoint(checkpoint_path)
     cfg = read_experiment_config(config_path, out_override=out)
+    out_dir = None if cfg.out_dir is None else _writable_dir(cfg.out_dir)
+    loaded = load_checkpoint(checkpoint_path)
     data = _load_dataset(cfg)
     if loaded.model.cfg.num_classes != data.num_classes:
         raise CheckpointError(
@@ -126,16 +140,11 @@ def cmd_eval(checkpoint_path: str, config_path: str, out: str | None = None) -> 
         )
     schedule = _build_schedule(cfg, data.num_classes)
     matrix = AccuracyMatrix(len(schedule))
-    row = {}
-    for task in schedule:
-        val_x, val_y = data.val_subset(task.class_ids)
-        row[task.task_id] = evaluate_task_accuracy(loaded.model, task, val_x, val_y)
+    row = evaluate_tasks(loaded.model, schedule, data)
     matrix.add_row(row)
     accs = ", ".join(f"task_{i}={row[i]:.4f}" for i in sorted(row))
     print(f"eval: {accs}")
-    if cfg.out_dir is not None:
-        out_dir = Path(cfg.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+    if out_dir is not None:
         matrix.to_csv(out_dir / "eval_matrix.csv")
     return EXIT_OK
 
@@ -144,14 +153,7 @@ def cmd_synth(config_path: str, out: str) -> int:
     cfg = read_experiment_config(config_path)
     if cfg.dataset_kind != "synthetic" or cfg.synthetic is None:
         raise DekwsError("synth requires a config with dataset.kind = synthetic")
-    out_dir = Path(out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        probe = out_dir / ".write_probe"
-        probe.write_bytes(b"")
-        probe.unlink()
-    except OSError as exc:
-        raise DekwsError(f"output directory {out} is not writable: {exc}") from exc
+    out_dir = _writable_dir(out)
     manifest = write_synthetic_tree(cfg.synthetic, out_dir)
     print(f"wrote {len(manifest)} files across "
           f"{cfg.synthetic.num_classes} classes to {out_dir}")

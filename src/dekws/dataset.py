@@ -130,8 +130,9 @@ def write_wav_pcm16(path, w: Waveform) -> None:
 def scan_gsc_layout(root, expected_words=None) -> Manifest:
     """Enumerate WAVs under one folder per keyword; ids by sorted folder name.
 
-    Raises InvalidDatasetError when expected keyword folders are missing.
-    The background-noise folder and any unexpected folders are ignored.
+    Raises InvalidDatasetError when expected keyword folders are missing or
+    hold no WAV files. The background-noise folder and any unexpected
+    folders are ignored.
     """
     root = Path(root)
     if expected_words is None:
@@ -145,14 +146,10 @@ def scan_gsc_layout(root, expected_words=None) -> Manifest:
         )
     records = []
     for class_id, word in enumerate(words):
-        for wav in sorted((root / word).glob("*.wav")):
-            records.append(
-                ManifestRecord(
-                    record_id=f"{word}/{wav.name}",
-                    class_id=class_id,
-                    class_name=word,
-                )
-            )
+        wavs = sorted((root / word).glob("*.wav"))
+        if not wavs:
+            raise InvalidDatasetError(f"{root}: keyword directory {word} holds no .wav files")
+        records += [ManifestRecord(f"{word}/{wav.name}", class_id, word) for wav in wavs]
     return Manifest(records)
 
 
@@ -393,10 +390,17 @@ def featurize(manifest: Manifest, loader) -> FeaturizedDataset:
     loader maps a record_id to a Waveform (from disk, the in-memory
     synthetic set, or the synthetic stream) and is called once per record,
     in manifest order. Each feature matrix is written straight into the
-    dataset's (n, n_frames, n_mfcc) array.
+    dataset's (n, n_frames, n_mfcc) array. The records' class ids must be
+    0..C-1 with none missing; each class is named after its first record.
     """
     if not manifest.records:
         raise InvalidDatasetError("manifest contains no records")
+    names: dict[int, str] = {}
+    for record in manifest.records:
+        names.setdefault(record.class_id, record.class_name)
+    num_classes = len(names)
+    if sorted(names) != list(range(num_classes)):
+        raise InvalidDatasetError(f"class ids must run from 0 with no gaps, got {sorted(names)}")
     features = np.empty((len(manifest), MFCC_CONFIG.n_frames, MFCC_CONFIG.n_mfcc))
     labels = []
     splits = []
@@ -404,16 +408,12 @@ def featurize(manifest: Manifest, loader) -> FeaturizedDataset:
         features[i] = mfcc(loader(record.record_id), MFCC_CONFIG).values
         labels.append(record.class_id)
         splits.append(record.split)
-    names: dict[int, str] = {}
-    for record in manifest.records:
-        names.setdefault(record.class_id, record.class_name)
-    num_classes = max(names) + 1
     return FeaturizedDataset(
         features=features,
         labels=np.asarray(labels, dtype=np.int64),
         splits=np.asarray(splits),
         num_classes=num_classes,
-        class_names=[names.get(i, f"class_{i}") for i in range(num_classes)],
+        class_names=[names[i] for i in range(num_classes)],
     )
 
 

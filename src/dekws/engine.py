@@ -14,20 +14,24 @@ entire training trajectory rather than task snapshots. At the end of each
 training phase the batch-norm running stats used at evaluation are
 recomputed from one pass over the buffer.
 
-A DE-KWS step keeps one autodiff graph alive at a time. The terms run in
-the order current, rehearsal, distillation, each as forward pass, finiteness
-check and backward pass (seeded with 1, alpha and beta) before the next
-term's forward, so sampler draws and running-stat updates happen in that
-order. The per-term parameter gradients are summed as
-(g_distill + g_rehearsal) + g_current, the order in which one combined
-graph over the three passes accumulated them, so trajectories are the same
-bit for bit. A TrainingFaultError leaves parameters, running stats, Adam
-state, buffer and sampler stream as they were before the step.
+A DE-KWS step keeps one autodiff graph alive at a time. The current term
+runs first for every strategy; naive rehearsal only concatenates a replayed
+batch into its input. Rehearsal and distillation then run as one loop over
+the replay terms: each draws its batch, and unless its weight is 0 runs
+forward pass, finiteness check and backward pass (seeded with alpha or
+beta) before the next term's forward, so sampler draws and running-stat
+updates happen in the order current, rehearsal, distillation. The per-term
+parameter gradients are summed as (g_distill + g_rehearsal) + g_current,
+the order in which one combined graph over the three passes accumulated
+them, so trajectories are the same bit for bit. The recorded total is
+combined_loss over the terms' float values. A TrainingFaultError leaves
+parameters, running stats, Adam state, buffer and sampler stream as they
+were before the step.
 
 All four strategies run in one loop (run_schedule): finetune is alpha =
-beta = 0 with capacity 0, naive rehearsal concatenates a replayed batch into
-a single cross-entropy, and joint is finetune over one phase that pools all
-classes.
+beta = 0 with capacity 0, naive rehearsal has no replay terms, and joint is
+finetune over one phase that pools all classes. run_schedule and dekws eval
+evaluate through one per-task loop, evaluate_tasks.
 """
 
 import dataclasses
@@ -120,28 +124,24 @@ class RunResult:
     buffer: ReservoirBuffer
 
 
-def _finite(loss: ad.Tensor, label: str) -> ad.Tensor:
-    if not np.isfinite(loss.data).all():
+def _finite(value: float, label: str) -> float:
+    if not np.isfinite(value):
         raise TrainingFaultError(f"non-finite {label} loss component")
-    return loss
+    return value
 
 
-def combined_loss(l_current, l_rehearsal, l_distill, alpha: float, beta: float):
+def combined_loss(l_current: float, l_rehearsal: float | None, l_distill: float | None,
+                  alpha: float, beta: float) -> float:
     """Total objective: current + alpha * rehearsal + beta * distillation.
 
-    Buffer terms may be None (empty buffer) and then contribute nothing.
-    Accepts loss tensors or plain floats; returns a scalar Tensor. A
-    non-finite component raises TrainingFaultError.
+    A buffer term that is None (empty buffer, or weight 0) contributes
+    nothing. A non-finite component raises TrainingFaultError.
     """
-    def as_tensor(value, label):
-        return _finite(value if isinstance(value, ad.Tensor) else ad.Tensor(float(value)),
-                       label)
-
-    total = as_tensor(l_current, "current-task")
+    total = _finite(l_current, "current-task")
     if l_rehearsal is not None:
-        total = total + as_tensor(l_rehearsal, "rehearsal") * alpha
+        total = total + _finite(l_rehearsal, "rehearsal") * alpha
     if l_distill is not None:
-        total = total + as_tensor(l_distill, "distillation") * beta
+        total = total + _finite(l_distill, "distillation") * beta
     return total
 
 
@@ -163,17 +163,18 @@ def _restored_on_error(model: TcResNet8, sampler_rng=None):
         raise
 
 
-def _term_gradients(loss: ad.Tensor, weight: float, label: str, params) -> list:
-    """Check one loss term, backpropagate weight * loss, return its gradients.
+def _term_gradients(loss: ad.Tensor, weight: float, label: str, params) -> tuple:
+    """Check one loss term, backpropagate weight * loss, and return the
+    term's value and its gradients.
 
     The term's graph is released by the backward walk and the parameters'
     .grad fields are cleared for the next term.
     """
-    _finite(loss, label)
+    value = _finite(loss.item(), label)
     (loss * weight).backward()
     grads = [p.grad for p in params]
     ad.zero_grads(params)
-    return grads
+    return value, grads
 
 
 def train_step(model: TcResNet8, batch, buf: ReservoirBuffer, cfg: TrainConfig,
@@ -191,53 +192,40 @@ def train_step(model: TcResNet8, batch, buf: ReservoirBuffer, cfg: TrainConfig,
         raise InvalidInputError("empty training batch")
     params = model.parameters
     ad.zero_grads(params)
+    naive = cfg.strategy == "naive_rehearsal"
+    replay_terms = () if naive or len(buf) == 0 else (
+        ("rehearsal", cfg.alpha), ("distillation", cfg.beta))
 
     with _restored_on_error(model, sampler_rng):
-        if cfg.strategy == "naive_rehearsal" and len(buf) > 0:
+        x, y = features, labels
+        if naive and len(buf) > 0:
             r_features, r_labels, _ = buf.sample_batch(len(features), sampler_rng)
-            merged = np.concatenate([features, r_features])
-            merged_labels = np.concatenate([labels, r_labels])
-            logits = model.forward(merged, training=True)
-            loss = ad.cross_entropy_loss(logits, merged_labels)
-            grads = _term_gradients(loss, 1.0, "current-task", params)
-            current_logits = logits.data[: len(features)]
-            breakdown = StepBreakdown(loss.item(), loss.item(), None, None)
-        else:
-            logits = model.forward(features, training=True)
-            l_current = ad.cross_entropy_loss(logits, labels)
-            grads = _term_gradients(l_current, 1.0, "current-task", params)
-            current_logits = logits.data
-            l_rehearsal = l_distill = None
-            if len(buf) > 0:
-                # A zero-weighted term is skipped, but its batch is still
-                # drawn, so the sampler stream does not depend on alpha, beta.
-                replay_grads = None
-                r_features, r_labels, _ = buf.sample_batch(cfg.batch_size, sampler_rng)
-                if cfg.alpha:
-                    l_rehearsal = ad.cross_entropy_loss(
-                        model.forward(r_features, training=True), r_labels
-                    )
-                    replay_grads = _term_gradients(l_rehearsal, cfg.alpha, "rehearsal",
-                                                   params)
-                d_features, _, d_logits = buf.sample_batch(cfg.batch_size, sampler_rng)
-                if cfg.beta:
-                    l_distill = ad.mse_logit_loss(
-                        ad.Tensor(d_logits),
-                        model.forward(d_features, training=True),
-                    )
-                    g_distill = _term_gradients(l_distill, cfg.beta, "distillation", params)
-                    replay_grads = g_distill if replay_grads is None else [
-                        d + r for r, d in zip(replay_grads, g_distill)]
-                if replay_grads is not None:
-                    # (d + r) + c, the order one combined graph accumulated them in.
-                    grads = [b + c for c, b in zip(grads, replay_grads)]
-            l_terms = [None if t is None else t.item()
-                       for t in (l_current, l_rehearsal, l_distill)]
-            breakdown = StepBreakdown(
-                combined_loss(*l_terms, cfg.alpha, cfg.beta).item(), *l_terms
-            )
+            x, y = np.concatenate([features, r_features]), np.concatenate([labels, r_labels])
+        logits = model.forward(x, training=True)
+        l_current, grads = _term_gradients(
+            ad.cross_entropy_loss(logits, y), 1.0, "current-task", params)
+        replay_losses, replay_grads = {}, None
+        for label, weight in replay_terms:
+            # A zero-weighted term is skipped, but its batch is still drawn,
+            # so the sampler stream does not depend on alpha, beta.
+            r_features, r_labels, r_logits = buf.sample_batch(cfg.batch_size, sampler_rng)
+            if not weight:
+                continue
+            out = model.forward(r_features, training=True)
+            loss = (ad.cross_entropy_loss(out, r_labels) if label == "rehearsal"
+                    else ad.mse_logit_loss(ad.Tensor(r_logits), out))
+            replay_losses[label], term_grads = _term_gradients(loss, weight, label, params)
+            replay_grads = term_grads if replay_grads is None else [
+                d + r for r, d in zip(replay_grads, term_grads)]
+        if replay_grads is not None:
+            # (d + r) + c, the order one combined graph accumulated them in.
+            grads = [b + c for c, b in zip(grads, replay_grads)]
+        l_terms = (l_current, replay_losses.get("rehearsal"),
+                   replay_losses.get("distillation"))
+        breakdown = StepBreakdown(combined_loss(*l_terms, cfg.alpha, cfg.beta), *l_terms)
         ad.adam_step(params, grads, adam_state)
 
+    current_logits = logits.data[: len(features)]
     for i in range(len(features)):
         buf.insert(BufferEntry(features[i], int(labels[i]), current_logits[i]))
     return breakdown
@@ -277,13 +265,10 @@ def _deviation_log(cfg: TrainConfig) -> list:
     return notes
 
 
-def _evaluate_tasks(model, schedule, data, task_indices) -> dict:
-    row = {}
-    for i in task_indices:
-        task = schedule[i]
-        val_x, val_y = data.val_subset(task.class_ids)
-        row[i] = evaluate_task_accuracy(model, task, val_x, val_y)
-    return row
+def evaluate_tasks(model: TcResNet8, tasks, data: FeaturizedDataset) -> dict:
+    """{position in tasks: accuracy on that task's validation split}."""
+    return {i: evaluate_task_accuracy(model, task, *data.val_subset(task.class_ids))
+            for i, task in enumerate(tasks)}
 
 
 def _recalibrate_batchnorm(model: TcResNet8, buf: ReservoirBuffer) -> None:
@@ -331,16 +316,8 @@ def _train_phase(model, task, data, cfg, adam_state, buf, shuffle_rng, sampler_r
                 raise TrainingFaultError(
                     f"task {task.task_id}, epoch {epoch}, step {step}: {exc}"
                 ) from exc
-            loss_curve.append(
-                {
-                    "task": task.task_id,
-                    "epoch": epoch,
-                    "l_total": breakdown.l_total,
-                    "l_current": breakdown.l_current,
-                    "l_rehearsal": breakdown.l_rehearsal,
-                    "l_distill": breakdown.l_distill,
-                }
-            )
+            loss_curve.append({"task": task.task_id, "epoch": epoch,
+                               **dataclasses.asdict(breakdown)})
     if len(buf) > 0:
         _recalibrate_batchnorm(model, buf)
 
@@ -378,9 +355,9 @@ def run_schedule(schedule, data: FeaturizedDataset, cfg: TrainConfig) -> RunResu
     _validate_schedule(schedule, data)
     if cfg.strategy == "joint":
         pooled = TaskSpec(0, tuple(c for task in schedule for c in task.class_ids))
-        phases = [(pooled, range(len(schedule)))]
+        phases = [(pooled, schedule)]
     else:
-        phases = [(task, range(t + 1)) for t, task in enumerate(schedule)]
+        phases = [(task, schedule[: t + 1]) for t, task in enumerate(schedule)]
     model = TcResNet8(
         TcResNet8Config(num_classes=data.num_classes),
         cfg.seed,
@@ -398,7 +375,7 @@ def run_schedule(schedule, data: FeaturizedDataset, cfg: TrainConfig) -> RunResu
     for task, evaluated in phases:
         _train_phase(model, task, data, cfg, adam_state, buf, shuffle_rng, sampler_rng,
                      loss_curve)
-        matrix.add_row(_evaluate_tasks(model, schedule, data, evaluated))
+        matrix.add_row(evaluate_tasks(model, evaluated, data))
     report = _assemble_report(cfg, schedule, data, model, matrix, loss_curve, buf)
     return RunResult(model, matrix, report, buf)
 

@@ -5,7 +5,8 @@ its own named sub-stream so a component can be reproduced in isolation (the
 model init draws the same numbers whether or not the shuffler ran first).
 
 Stream names in use: "init", "shuffle", "reservoir", "sampler", "synth",
-"split".
+"schedule". Splits draw from no stream: deterministic_split ranks records by
+SHA-256 of "seed:record_id".
 """
 
 import hashlib

@@ -286,6 +286,17 @@ class TestCmdRun:
         assert code == 2
         assert "4 classes, dataset has 8" in capsys.readouterr().err
 
+    def test_eval_on_missing_checkpoint_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "exp.cfg"
+        config.write_text(TINY_RUN_CONFIG)
+        missing = tmp_path / "none.dkws"
+        code = main(["eval", "--checkpoint", str(missing), "--config", str(config)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{missing}: cannot read" in err
+        with pytest.raises(CheckpointError, match="cannot read"):
+            load_checkpoint(tmp_path)  # a directory is not readable as a file
+
     def test_eval_on_malformed_checkpoint_exits_2(self, tmp_path, capsys):
         config = tmp_path / "exp.cfg"
         config.write_text(TINY_RUN_CONFIG)
@@ -297,6 +308,29 @@ class TestCmdRun:
         code = main(["eval", "--checkpoint", str(ckpt), "--config", str(config)])
         assert code == 2
         assert "JSON object" in capsys.readouterr().err
+
+
+class TestOutputDirectory:
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below_a_file"])
+    @pytest.mark.parametrize("command", ["run", "eval", "synth"])
+    def test_blocked_by_a_file_exits_2_before_any_work(
+            self, tmp_path, capsys, monkeypatch, command, below):
+        def no_work(*args):
+            raise AssertionError("work started before the output directory was checked")
+
+        for name in ("_load_dataset", "load_checkpoint", "write_synthetic_tree"):
+            monkeypatch.setattr(dekws.cli, name, no_work)
+        config = tmp_path / "exp.cfg"
+        config.write_text(TINY_RUN_CONFIG)
+        taken = tmp_path / "taken"
+        taken.write_text("a file")
+        out = taken / "sub" if below else taken
+        extra = ["--checkpoint", str(tmp_path / "none.dkws")] if command == "eval" else []
+        code = main([command, "--config", str(config), "--out", str(out), *extra])
+        assert code == 2
+        assert f"output directory {out} is not writable" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg", "taken"]
+        assert taken.read_text() == "a file"
 
 
 class TestCmdSynth:

@@ -18,6 +18,7 @@ from dekws.dataset import (
     default_tone_pairs,
     deterministic_split,
     featurize,
+    load_gsc,
     load_synthetic,
     read_wav_pcm16,
     scan_gsc_layout,
@@ -132,6 +133,15 @@ class TestScanLayout:
     def test_empty_root_rejected(self, tmp_path):
         with pytest.raises(InvalidDatasetError):
             scan_gsc_layout(tmp_path / "nothing")
+
+    def test_empty_keyword_folder_rejected_by_name(self, tmp_path):
+        spec = SyntheticSpec(num_classes=3, examples_per_class=4, seed=5)
+        write_synthetic_tree(spec, tmp_path)
+        for wav in (tmp_path / "class_01").iterdir():
+            wav.unlink()
+        words = [f"class_{i:02d}" for i in range(3)]
+        with pytest.raises(InvalidDatasetError, match=after_path(tmp_path, "class_01")):
+            load_gsc(tmp_path, expected_words=words)
 
     def test_class_ids_follow_sorted_names(self, tmp_path):
         words = ["zebra", "apple", "mango"]
@@ -328,6 +338,13 @@ class TestFeaturize:
     def test_empty_manifest_rejected(self):
         with pytest.raises(InvalidDatasetError):
             featurize(Manifest([]), lambda rid: None)
+
+    def test_class_id_gap_rejected(self):
+        spec = SyntheticSpec(num_classes=3, examples_per_class=2, seed=0)
+        waveforms, manifest = synthesize_dataset(spec)
+        without_1 = Manifest([r for r in manifest.records if r.class_id != 1])
+        with pytest.raises(InvalidDatasetError, match=r"no gaps, got \[0, 2\]"):
+            featurize(without_1, waveforms.__getitem__)
 
 
 class TestStreamedSynthesis:
