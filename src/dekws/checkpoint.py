@@ -10,6 +10,7 @@ buffer contents (including the reservoir's generator state).
 import dataclasses
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -68,12 +69,21 @@ def save_checkpoint(path, model: TcResNet8, experiment_config: dict | None = Non
         "buffer": buffer_meta,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        fh.write(payload)
+    # Written beside the target and renamed over it, so a save that fails
+    # partway leaves the previous file whole.
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", VERSION))
+            fh.write(struct.pack("<Q", len(blob)))
+            fh.write(blob)
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> LoadedCheckpoint:

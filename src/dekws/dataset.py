@@ -83,6 +83,11 @@ def read_wav_pcm16(path) -> Waveform:
     while pos + 8 <= len(raw):
         chunk_id = raw[pos : pos + 4]
         (chunk_size,) = struct.unpack_from("<I", raw, pos + 4)
+        if pos + 8 + chunk_size > len(raw):
+            raise UnsupportedFormatError(
+                f"{path}: chunk {chunk_id!r} declares {chunk_size} bytes but "
+                f"{len(raw) - pos - 8} remain (truncated)"
+            )
         body = raw[pos + 8 : pos + 8 + chunk_size]
         if chunk_id == b"fmt ":
             fmt = body

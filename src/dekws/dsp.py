@@ -212,6 +212,11 @@ def log_mel_energies(spec: np.ndarray, cfg: MfccConfig) -> np.ndarray:
 
 def mfcc(w: Waveform, cfg: MfccConfig = MfccConfig()) -> FeatureMatrix:
     """Full frontend: waveform to n_frames x n_mfcc feature matrix."""
+    if w.sample_rate != cfg.sample_rate:
+        raise InvalidInputError(
+            f"waveform sample rate {w.sample_rate} Hz differs from the "
+            f"feature config's {cfg.sample_rate} Hz"
+        )
     padded = pad_or_trim(w, cfg.target_length)
     spec = stft_power(padded, cfg)
     logmels = log_mel_energies(spec, cfg)

@@ -11,6 +11,11 @@ controlled by stride alone (98 -> 49 -> 25 -> 13 on default features).
 With 30 output classes the model has exactly 66,390 trainable parameters
 (conv weights and biases, batch-norm scales and shifts, head weight and
 bias; running stats excluded).
+
+TcResNet8.layers lists every layer once, in declaration order, and the
+model's parameters and batch norms are read from it. That order is the
+order of the Adam slots, of state_arrays (parameters, then each batch
+norm's running mean and variance) and so of the checkpoint and the digests.
 """
 
 from dataclasses import dataclass
@@ -62,37 +67,31 @@ class Conv1d:
         self.bias = ad.Tensor(
             np.zeros(c_out, dtype=dtype), requires_grad=True, name=f"{name}.bias"
         )
+        self.parameters = [self.weight, self.bias]
 
     def __call__(self, x):
         return ad.conv1d(x, self.weight, self.bias, self.stride, self.padding)
 
-    @property
-    def parameters(self):
-        return [self.weight, self.bias]
-
 
 class BatchNorm1d:
-    def __init__(self, name, channels, dtype, momentum=0.1, eps=1e-5):
-        self.momentum = momentum
-        self.eps = eps
+    def __init__(self, name, channels, dtype):
+        self.name = name
+        self.momentum = 0.1  # engine._recalibrate_batchnorm sets 1 for one pass
         self.gamma = ad.Tensor(
             np.ones(channels, dtype=dtype), requires_grad=True, name=f"{name}.gamma"
         )
         self.beta = ad.Tensor(
             np.zeros(channels, dtype=dtype), requires_grad=True, name=f"{name}.beta"
         )
+        self.parameters = [self.gamma, self.beta]
         self.running_mean = np.zeros(channels, dtype=np.float64)
         self.running_var = np.ones(channels, dtype=np.float64)
 
     def __call__(self, x, training):
         return ad.batchnorm1d(
             x, self.gamma, self.beta, self.running_mean, self.running_var,
-            training, self.momentum, self.eps,
+            training, self.momentum,
         )
-
-    @property
-    def parameters(self):
-        return [self.gamma, self.beta]
 
 
 class Linear:
@@ -105,13 +104,10 @@ class Linear:
         self.bias = ad.Tensor(
             np.zeros(d_out, dtype=dtype), requires_grad=True, name=f"{name}.bias"
         )
+        self.parameters = [self.weight, self.bias]
 
     def __call__(self, x):
         return ad.linear(x, self.weight, self.bias)
-
-    @property
-    def parameters(self):
-        return [self.weight, self.bias]
 
 
 class _ResidualBlock:
@@ -123,24 +119,13 @@ class _ResidualBlock:
         self.bn2 = BatchNorm1d(f"{name}.bn2", c_out, dtype)
         self.conv_skip = Conv1d(rng, f"{name}.skip", c_in, c_out, 1, 2, 0, dtype)
         self.bn_skip = BatchNorm1d(f"{name}.bn_skip", c_out, dtype)
+        self.layers = [self.conv1, self.bn1, self.conv2, self.bn2, self.conv_skip, self.bn_skip]
 
     def __call__(self, x, training):
         main = ad.relu(self.bn1(self.conv1(x), training))
         main = self.bn2(self.conv2(main), training)
         skip = self.bn_skip(self.conv_skip(x), training)
         return ad.relu(ad.add(main, skip))
-
-    @property
-    def parameters(self):
-        return (
-            self.conv1.parameters + self.bn1.parameters
-            + self.conv2.parameters + self.bn2.parameters
-            + self.conv_skip.parameters + self.bn_skip.parameters
-        )
-
-    @property
-    def batchnorms(self):
-        return [self.bn1, self.bn2, self.bn_skip]
 
 
 class TcResNet8:
@@ -161,20 +146,10 @@ class TcResNet8:
             for i in range(3)
         ]
         self.head = Linear(rng, "head", c[3], cfg.num_classes, self.dtype)
-
-    @property
-    def parameters(self):
-        params = self.stem_conv.parameters + self.stem_bn.parameters
-        for block in self.blocks:
-            params += block.parameters
-        return params + self.head.parameters
-
-    @property
-    def batchnorms(self):
-        bns = [self.stem_bn]
-        for block in self.blocks:
-            bns += block.batchnorms
-        return bns
+        self.layers = [self.stem_conv, self.stem_bn,
+                       *(layer for block in self.blocks for layer in block.layers), self.head]
+        self.parameters = [p for layer in self.layers for p in layer.parameters]
+        self.batchnorms = [layer for layer in self.layers if isinstance(layer, BatchNorm1d)]
 
     def forward(self, features: np.ndarray, training: bool = False) -> ad.Tensor:
         """Features (N, n_frames, n_coeffs) to pre-softmax logits (N, classes).
@@ -206,28 +181,22 @@ class TcResNet8:
 
     def state_arrays(self) -> dict:
         """Named arrays in declaration order: parameters plus running stats."""
-        arrays = {}
-        for p in self.parameters:
-            arrays[p.name] = p.data
+        arrays = {p.name: p.data for p in self.parameters}
         for bn in self.batchnorms:
-            prefix = bn.gamma.name[:-len(".gamma")]
-            arrays[f"{prefix}.running_mean"] = bn.running_mean
-            arrays[f"{prefix}.running_var"] = bn.running_var
+            arrays[f"{bn.name}.running_mean"] = bn.running_mean
+            arrays[f"{bn.name}.running_var"] = bn.running_var
         return arrays
 
     def load_state_arrays(self, arrays: dict) -> None:
+        """Copy arrays into the model's own; every key and shape is checked
+        first, so a mismatch changes nothing."""
         own = self.state_arrays()
         if set(own) != set(arrays):
             missing = sorted(set(own) ^ set(arrays))
             raise InvalidInputError(f"state mismatch on keys: {missing}")
-        for p in self.parameters:
-            src = np.asarray(arrays[p.name])
-            if src.shape != p.shape:
-                raise InvalidShapeError(
-                    f"{p.name}: expected shape {p.shape}, got {src.shape}"
-                )
-            p.data = src.astype(self.dtype)
-        for bn in self.batchnorms:
-            prefix = bn.gamma.name[:-len(".gamma")]
-            bn.running_mean = np.asarray(arrays[f"{prefix}.running_mean"], dtype=np.float64)
-            bn.running_var = np.asarray(arrays[f"{prefix}.running_var"], dtype=np.float64)
+        for name, dst in own.items():
+            shape = np.shape(arrays[name])
+            if shape != dst.shape:
+                raise InvalidShapeError(f"{name}: expected shape {dst.shape}, got {shape}")
+        for name, dst in own.items():
+            dst[...] = arrays[name]

@@ -216,6 +216,14 @@ class TestCorruption:
         with pytest.raises(CheckpointError, match="does not fit"):
             load_checkpoint(path)
 
+    def test_running_stat_of_wrong_shape_rejected(self, tmp_path):
+        model = trained_model()
+        model.stem_bn.running_mean = np.zeros(17)
+        path = tmp_path / "model.dkws"
+        save_checkpoint(path, model)
+        with pytest.raises(CheckpointError, match=after_path(path, r"stem_bn\.running_mean")):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("key", ["input_channels", "kernel_block"])
     def test_zero_width_model_rejected(self, tmp_path, key):
         # A bit flip turns "4" into "0"; building that model divided by zero.
@@ -254,6 +262,39 @@ class TestCorruption:
             "input_channels": 40, "channels": [16, 24, 32, 48], "num_classes": 6,
             "kernel_first": 3, "kernel_block": 9, "dtype": "float64",
         }
+
+
+class TestAtomicSave:
+    def test_failed_save_keeps_previous_file_and_leaves_no_temporary(
+            self, tmp_path, monkeypatch):
+        path = tmp_path / "model.dkws"
+        save_checkpoint(path, trained_model())
+        before = path.read_bytes()
+
+        class FailsAfterFirstWrite:
+            """A file whose second write raises, as on a full disk."""
+
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes > 1:
+                    raise OSError("no space left on device")
+                return self.fh.write(data)
+
+        monkeypatch.setattr("dekws.checkpoint.open",
+                            lambda *args: FailsAfterFirstWrite(open(*args)), raising=False)
+        with pytest.raises(OSError, match="no space"):
+            save_checkpoint(path, trained_model(num_classes=7))
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestBufferInvariant:

@@ -92,6 +92,14 @@ class TestReadWav:
         with pytest.raises(UnsupportedFormatError, match=after_path(path, "magic")):
             read_wav_pcm16(path)
 
+    def test_truncated_file_rejected(self, tmp_path):
+        path = tmp_path / "cut.wav"
+        write_wav_pcm16(path, Waveform(np.zeros(16000, dtype=np.float32)))
+        raw = path.read_bytes()
+        path.write_bytes(raw[: len(raw) // 2])
+        with pytest.raises(UnsupportedFormatError, match=after_path(path, "truncated")):
+            read_wav_pcm16(path)
+
     def test_write_read_round_trip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
         ints = rng.integers(-32768, 32768, size=1000)

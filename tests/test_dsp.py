@@ -211,6 +211,10 @@ class TestMfcc:
         assert abs(out.values[0, 0]) > 1.0
         np.testing.assert_allclose(out.values[0, 1:], 0.0, atol=1e-6)
 
+    def test_other_sample_rate_rejected(self):
+        with pytest.raises(InvalidInputError, match="sample rate"):
+            mfcc(Waveform(np.zeros(8000, dtype=np.float32), sample_rate=8000))
+
     def test_default_shape_is_98_by_40(self):
         rng = np.random.default_rng(5)
         out = mfcc(Waveform(rng.uniform(-0.9, 0.9, 16000).astype(np.float32)))

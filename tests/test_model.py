@@ -143,6 +143,31 @@ class TestStateArrays:
         for k, v in other.state_arrays().items():
             assert v.tobytes() == state[k].tobytes(), k
 
+    def test_state_order_is_pinned(self):
+        model = TcResNet8(TcResNet8Config(num_classes=4), seed=0)
+        layers = ["stem", "stem_bn"] + [
+            f"block{i}.{layer}" for i in (1, 2, 3)
+            for layer in ("conv1", "bn1", "conv2", "bn2", "skip", "bn_skip")
+        ] + ["head"]
+        bns = [layer for layer in layers if "bn" in layer]
+        params = [f"{layer}.{name}" for layer in layers
+                  for name in (("gamma", "beta") if layer in bns else ("weight", "bias"))]
+        stats = [f"{bn}.{stat}" for bn in bns for stat in ("running_mean", "running_var")]
+        assert (len(params), len(stats)) == (42, 20)
+        assert list(model.state_arrays()) == params + stats
+        assert [p.name for p in model.parameters] == params
+        assert [bn.name for bn in model.batchnorms] == bns
+
+    def test_wrong_shape_rejected_before_anything_is_written(self):
+        model = TcResNet8(TcResNet8Config(num_classes=12), seed=0)
+        before = {k: v.copy() for k, v in model.state_arrays().items()}
+        state = {k: v + 1.0 for k, v in before.items()}
+        state["stem_bn.running_mean"] = np.zeros(17)
+        with pytest.raises(InvalidShapeError, match=r"stem_bn\.running_mean"):
+            model.load_state_arrays(state)
+        for k, v in model.state_arrays().items():
+            assert v.tobytes() == before[k].tobytes(), k
+
     def test_mismatched_keys_rejected(self):
         model = TcResNet8(TcResNet8Config(num_classes=12), seed=0)
         state = model.state_arrays()
