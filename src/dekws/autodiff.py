@@ -225,8 +225,12 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 
 
 def _node(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
+    """A result tensor; while gradients are enabled it records backward_fn
+    and those of parents that require a gradient, so a graph does not hold
+    an input it sends no gradient to."""
     out = Tensor(data)
-    if grad_enabled() and any(p.requires_grad for p in parents):
+    parents = tuple(p for p in parents if p.requires_grad)
+    if grad_enabled() and parents:
         out.requires_grad = True
         out._parents = parents
         out._backward = backward_fn
@@ -365,6 +369,9 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
         np.matmul(w2, chunk_cols[:m].reshape(m, c_in * k, l_out),
                   out=out_c[:, start : start + m].transpose(1, 0, 2))
     out_c += bd[:, None, None]
+    # The closure holds x only if x takes a gradient, so the model's input
+    # batch is freed while the rest of the pass runs.
+    x_kept = x if x.requires_grad else None
 
     def backward(g):
         g2 = g.transpose(1, 0, 2).reshape(c_out, n * l_out)
@@ -374,15 +381,15 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
         _accumulate(bias, g2.sum(axis=1))
         if k == 1:  # the shortcut convs; see "Training kernels" above
             _accumulate(weight, (g2 @ cols2.T).reshape(wd.shape))
-            if x.requires_grad:
+            if x_kept is not None:
                 grad_cols = (w2.T @ g2).reshape(c_in, n, l_out)
                 grad_xp = np.zeros((c_in, n, l_pad), dtype=grad_cols.dtype)
                 grad_xp[:, :, : stride * l_out : stride] += grad_cols
-                _accumulate(x, grad_xp[:, :, padding : padding + length].transpose(1, 0, 2))
+                _accumulate(x_kept, grad_xp[:, :, padding : padding + length].transpose(1, 0, 2))
             return
         _accumulate(weight, (cols2 @ g2.T).T.reshape(wd.shape))
         del cols2  # col2im does not read the columns
-        if x.requires_grad:
+        if x_kept is not None:
             # Position-major col2im over (l, n)-ordered columns.
             g_ln = g.transpose(1, 2, 0).reshape(c_out, l_out * n)
             grad_cols = (w2.T @ g_ln).reshape(c_in, k, l_out, n)
@@ -392,7 +399,7 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
             grad_x = np.ascontiguousarray(
                 grad_xp[:, padding : padding + length].transpose(0, 2, 1)
             )
-            _accumulate(x, grad_x.transpose(1, 0, 2))
+            _accumulate(x_kept, grad_x.transpose(1, 0, 2))
 
     return _node(out_c.transpose(1, 0, 2), (x, weight, bias), backward)
 

@@ -83,17 +83,19 @@ class ReservoirBuffer:
                 _copy_entry(self, j, entry)
         self.num_seen += 1
 
-    def sample_batch(self, k: int, rng: random.Random):
-        """min(k, len) distinct rows, uniform without replacement.
-
-        Returns fresh (features, labels, logits) arrays.
-        """
+    def sample_indices(self, k: int, rng: random.Random) -> list:
+        """min(k, len) distinct slots, uniform without replacement."""
         n = len(self)
         if n == 0:
             raise EmptyBufferError("cannot sample from an empty buffer")
         if k < 1:
             raise InvalidInputError(f"batch size must be >= 1, got {k}")
-        idx = rng.sample(range(n), min(k, n))
+        return rng.sample(range(n), min(k, n))
+
+    def sample_batch(self, k: int, rng: random.Random):
+        """The rows of sample_indices(k, rng), as fresh (features, labels,
+        logits) arrays."""
+        idx = self.sample_indices(k, rng)
         return self.features[idx], self.labels[idx], self.logits[idx]
 
     def state(self) -> dict:

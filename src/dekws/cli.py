@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 gradcheck failure, 2 config/validation error,
 """
 
 import argparse
+import ctypes
 import hashlib
 import json
 import sys
@@ -31,7 +32,7 @@ from .dataset import (
     write_synthetic_tree,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
-from .engine import evaluate_tasks, run_schedule
+from .engine import PRECISIONS, evaluate_tasks, run_schedule
 from .errors import CheckpointError, DekwsError, TrainingFaultError
 from .metrics import AccuracyMatrix
 from .model import TcResNet8, TcResNet8Config
@@ -42,10 +43,16 @@ EXIT_CONFIG = 2
 EXIT_TRAINING = 3
 
 
-def _load_dataset(cfg: ExperimentConfig) -> FeaturizedDataset:
+def _load_dataset(cfg: ExperimentConfig, dtype=None) -> FeaturizedDataset:
+    """The configured dataset, its features in dtype (default: the precision
+    of cfg.train)."""
+    if dtype is None:
+        dtype = PRECISIONS[cfg.train.precision]
     if cfg.dataset_kind == "synthetic":
-        return load_synthetic(cfg.synthetic, cfg.train_fraction, split_seed=cfg.seed)
-    return load_gsc(cfg.gsc_root, seed=cfg.seed, train_fraction=cfg.train_fraction)
+        return load_synthetic(cfg.synthetic, cfg.train_fraction, split_seed=cfg.seed,
+                              dtype=dtype)
+    return load_gsc(cfg.gsc_root, seed=cfg.seed, train_fraction=cfg.train_fraction,
+                    dtype=dtype)
 
 
 def _build_schedule(cfg: ExperimentConfig, num_classes: int):
@@ -83,6 +90,32 @@ def run_digests(model: TcResNet8, buf) -> dict:
     }
 
 
+def blas_runtime() -> dict:
+    """report.json's record of the BLAS runtime: the kernel set (core) the
+    loaded OpenBLAS runs and its thread count, both of which change a run's
+    summation order. The library is the OpenBLAS mapped into this process
+    (read from /proc/self/maps); each value is None when no mapped library
+    exports numpy's scipy_openblas query functions.
+    """
+    runtime = {"blas_core": None, "blas_threads": None}
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return runtime
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+            core = handle.scipy_openblas_get_corename64_
+            threads = handle.scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        core.restype, core.argtypes = ctypes.c_char_p, []
+        threads.restype, threads.argtypes = ctypes.c_int, []
+        return {"blas_core": core().decode(), "blas_threads": int(threads())}
+    return runtime
+
+
 def _writable_dir(out) -> Path:
     """Create the output directory out if needed and check that a file can be
     written in it; DekwsError if not. Called before any data is loaded."""
@@ -112,6 +145,7 @@ def cmd_run(config_path: str, seed: int | None = None, out: str | None = None) -
     report["experiment_config"] = cfg.effective_dict()
     report["wall_clock_seconds"] = round(time.monotonic() - started, 3)
     report.update(run_digests(result.model, result.buffer))
+    report.update(blas_runtime())
     (out_dir / "report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n"
     )
@@ -132,7 +166,7 @@ def cmd_eval(checkpoint_path: str, config_path: str, out: str | None = None) -> 
     cfg = read_experiment_config(config_path, out_override=out)
     out_dir = None if cfg.out_dir is None else _writable_dir(cfg.out_dir)
     loaded = load_checkpoint(checkpoint_path)
-    data = _load_dataset(cfg)
+    data = _load_dataset(cfg, loaded.model.dtype)
     if loaded.model.cfg.num_classes != data.num_classes:
         raise CheckpointError(
             f"{checkpoint_path}: model has {loaded.model.cfg.num_classes} classes, "

@@ -371,16 +371,21 @@ def write_synthetic_tree(spec: SyntheticSpec, out_dir) -> Manifest:
 class FeaturizedDataset:
     """MFCC features plus labels and split assignment, ready for training."""
 
-    features: np.ndarray  # (n, n_frames, n_mfcc) float64
+    features: np.ndarray  # (n, n_frames, n_mfcc), in the loader's dtype (float64 default)
     labels: np.ndarray  # (n,) int64
     splits: np.ndarray  # (n,) of "train" / "validation"
     num_classes: int
     class_names: list = field(default_factory=list)
 
-    def subset(self, split: str, class_ids) -> tuple[np.ndarray, np.ndarray]:
+    def rows(self, split: str, class_ids) -> np.ndarray:
+        """Ascending indices of the split's rows whose label is in class_ids."""
         wanted = np.isin(self.labels, np.asarray(list(class_ids)))
-        mask = (self.splits == split) & wanted
-        return self.features[mask], self.labels[mask]
+        return np.flatnonzero((self.splits == split) & wanted)
+
+    def subset(self, split: str, class_ids) -> tuple[np.ndarray, np.ndarray]:
+        """Copies of the features and labels of rows(split, class_ids)."""
+        idx = self.rows(split, class_ids)
+        return self.features[idx], self.labels[idx]
 
     def train_subset(self, class_ids):
         return self.subset("train", class_ids)
@@ -389,13 +394,15 @@ class FeaturizedDataset:
         return self.subset("validation", class_ids)
 
 
-def featurize(manifest: Manifest, loader) -> FeaturizedDataset:
+def featurize(manifest: Manifest, loader, dtype=np.float64) -> FeaturizedDataset:
     """Run the MFCC frontend (MFCC_CONFIG) over every record, in manifest order.
 
     loader maps a record_id to a Waveform (from disk, the in-memory
     synthetic set, or the synthetic stream) and is called once per record,
-    in manifest order. Each feature matrix is written straight into the
-    dataset's (n, n_frames, n_mfcc) array. The records' class ids must be
+    in manifest order. Each float64 feature matrix is written straight into
+    the dataset's (n, n_frames, n_mfcc) array of dtype, rounding once to
+    float32 when dtype is float32 (the cast a float32 model applies to
+    float64 input anyway). The records' class ids must be
     0..C-1 with none missing; each class is named after its first record.
     """
     if not manifest.records:
@@ -406,7 +413,7 @@ def featurize(manifest: Manifest, loader) -> FeaturizedDataset:
     num_classes = len(names)
     if sorted(names) != list(range(num_classes)):
         raise InvalidDatasetError(f"class ids must run from 0 with no gaps, got {sorted(names)}")
-    features = np.empty((len(manifest), MFCC_CONFIG.n_frames, MFCC_CONFIG.n_mfcc))
+    features = np.empty((len(manifest), MFCC_CONFIG.n_frames, MFCC_CONFIG.n_mfcc), dtype)
     labels = []
     splits = []
     for i, record in enumerate(manifest.records):
@@ -423,19 +430,21 @@ def featurize(manifest: Manifest, loader) -> FeaturizedDataset:
 
 
 def load_gsc(root, seed: int = 0, train_fraction: float = 0.8,
-             expected_words=None) -> FeaturizedDataset:
-    """Scan, split, and featurize a speech-commands directory tree."""
+             expected_words=None, dtype=np.float64) -> FeaturizedDataset:
+    """Scan, split, and featurize a speech-commands directory tree into
+    features of dtype."""
     root = Path(root)
     manifest = deterministic_split(
         scan_gsc_layout(root, expected_words), train_fraction, seed
     )
-    return featurize(manifest, lambda rid: read_wav_pcm16(root / rid))
+    return featurize(manifest, lambda rid: read_wav_pcm16(root / rid), dtype)
 
 
 def load_synthetic(spec: SyntheticSpec, train_fraction: float = 0.8,
-                   split_seed: int = 0) -> FeaturizedDataset:
+                   split_seed: int = 0, dtype=np.float64) -> FeaturizedDataset:
     """Split the synthetic manifest, then synthesize and featurize the clips
-    in a stream (deterministic_split keeps the manifest order)."""
+    in a stream (deterministic_split keeps the manifest order) into
+    features of dtype."""
     manifest = deterministic_split(_synthetic_manifest(spec), train_fraction, split_seed)
     clips = _synthetic_clips(spec)
-    return featurize(manifest, lambda record_id: next(clips))
+    return featurize(manifest, lambda record_id: next(clips), dtype)

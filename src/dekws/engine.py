@@ -4,24 +4,25 @@ Each optimization step combines three terms: cross-entropy on the current
 batch, cross-entropy on a batch replayed from the buffer (weighted alpha),
 and mean-squared error between stored logits and the live network's logits
 on an independently drawn buffer batch (weighted beta). Buffer terms vanish
-while the buffer is empty. A buffer term weighted 0 is skipped: its batch is
-still drawn, so the sampler stream is the one the full step draws, its loss
-is recorded as None, and the running stats its pass would have moved are
-overwritten by the end-of-phase recomputation before any evaluation. After
-the update, every current example is offered to the reservoir together with
-the pre-update logits the step just produced, so the buffer samples the
-entire training trajectory rather than task snapshots. At the end of each
-training phase the batch-norm running stats used at evaluation are
-recomputed from one pass over the buffer.
+while the buffer is empty. A buffer term weighted 0 is skipped: its batch's
+indices are still drawn (no rows are copied), so the sampler stream is the
+one the full step draws, its loss is recorded as None, and the running
+stats its pass would have moved are overwritten by the end-of-phase
+recomputation before any evaluation. After the update, every current
+example is offered to the reservoir together with the pre-update logits the
+step just produced, so the buffer samples the entire training trajectory
+rather than task snapshots. At the end of each training phase the
+batch-norm running stats used at evaluation are recomputed from one pass
+over the buffer.
 
 A DE-KWS step keeps one autodiff graph alive at a time. The current term
 runs first for every strategy; naive rehearsal only concatenates a replayed
 batch into its input. Rehearsal and distillation then run as one loop over
-the replay terms: each draws its batch, and unless its weight is 0 runs
-forward pass, finiteness check and backward pass (seeded with alpha or
-beta) before the next term's forward, so sampler draws and running-stat
-updates happen in the order current, rehearsal, distillation. The per-term
-parameter gradients are summed as (g_distill + g_rehearsal) + g_current,
+the replay terms: each draws its batch (only its indices if its weight is
+0) and, unless its weight is 0, runs forward pass, finiteness check and
+backward pass (seeded with alpha or beta) before the next term's forward,
+so sampler draws and running-stat updates happen in the order current,
+rehearsal, distillation. The per-term parameter gradients are summed as (g_distill + g_rehearsal) + g_current,
 the order in which one combined graph over the three passes accumulated
 them, so trajectories are the same bit for bit. The recorded total is
 combined_loss over the terms' float values. A TrainingFaultError leaves
@@ -32,6 +33,12 @@ All four strategies run in one loop (run_schedule): finetune is alpha =
 beta = 0 with capacity 0, naive rehearsal has no replay terms, and joint is
 finetune over one phase that pools all classes. run_schedule and dekws eval
 evaluate through one per-task loop, evaluate_tasks.
+
+A run holds its data once: each training batch is gathered from the
+dataset's one feature array by row index and cast to the model's dtype
+(a no-op when the loader already used it), so a float32 run's batches,
+buffer rows and replay draws are float32. The model casts its input to
+its dtype anyway, so the bits are those of float64 batches.
 """
 
 import dataclasses
@@ -206,11 +213,12 @@ def train_step(model: TcResNet8, batch, buf: ReservoirBuffer, cfg: TrainConfig,
             ad.cross_entropy_loss(logits, y), 1.0, "current-task", params)
         replay_losses, replay_grads = {}, None
         for label, weight in replay_terms:
-            # A zero-weighted term is skipped, but its batch is still drawn,
-            # so the sampler stream does not depend on alpha, beta.
-            r_features, r_labels, r_logits = buf.sample_batch(cfg.batch_size, sampler_rng)
             if not weight:
+                # Skipped, but its indices are still drawn, so the sampler
+                # stream does not depend on alpha, beta.
+                buf.sample_indices(cfg.batch_size, sampler_rng)
                 continue
+            r_features, r_labels, r_logits = buf.sample_batch(cfg.batch_size, sampler_rng)
             out = model.forward(r_features, training=True)
             loss = (ad.cross_entropy_loss(out, r_labels) if label == "rehearsal"
                     else ad.mse_logit_loss(ad.Tensor(r_logits), out))
@@ -239,13 +247,11 @@ def _validate_schedule(schedule, data: FeaturizedDataset) -> None:
                 f"task {task.task_id} repeats classes already scheduled"
             )
         seen |= set(task.class_ids)
-        train_x, _ = data.train_subset(task.class_ids)
-        if len(train_x) == 0:
+        if len(data.rows("train", task.class_ids)) == 0:
             raise InvalidScheduleError(
                 f"task {task.task_id} has no training examples"
             )
-        val_x, _ = data.val_subset(task.class_ids)
-        if len(val_x) == 0:
+        if len(data.rows("validation", task.class_ids)) == 0:
             raise InvalidScheduleError(
                 f"task {task.task_id} has no validation examples"
             )
@@ -298,20 +304,20 @@ def _train_phase(model, task, data, cfg, adam_state, buf, shuffle_rng, sampler_r
     """Train over one task's training split for cfg.epochs_per_task epochs.
 
     If the buffer is then non-empty, the batch-norm running stats are
-    recomputed from it (see _recalibrate_batchnorm). A TrainingFaultError
-    is re-raised with the task id, epoch and step index within the epoch
-    ahead of its message.
+    recomputed from it (see _recalibrate_batchnorm). Each batch is gathered
+    from data.features by row index in the model's dtype. A
+    TrainingFaultError is re-raised with the task id, epoch and step index
+    within the epoch ahead of its message.
     """
-    train_x, train_y = data.train_subset(task.class_ids)
-    n = len(train_x)
+    rows = data.rows("train", task.class_ids)
+    n = len(rows)
     for epoch in range(cfg.epochs_per_task):
         perm = shuffle_rng.permutation(n)
         for step, start in enumerate(range(0, n, cfg.batch_size)):
-            idx = perm[start : start + cfg.batch_size]
+            idx = rows[perm[start : start + cfg.batch_size]]
+            batch = (data.features[idx].astype(model.dtype, copy=False), data.labels[idx])
             try:
-                breakdown = train_step(
-                    model, (train_x[idx], train_y[idx]), buf, cfg, adam_state, sampler_rng,
-                )
+                breakdown = train_step(model, batch, buf, cfg, adam_state, sampler_rng)
             except TrainingFaultError as exc:
                 raise TrainingFaultError(
                     f"task {task.task_id}, epoch {epoch}, step {step}: {exc}"
@@ -323,7 +329,8 @@ def _train_phase(model, task, data, cfg, adam_state, buf, shuffle_rng, sampler_r
 
 
 def _assemble_report(cfg, schedule, data, model, matrix, loss_curve, buf) -> dict:
-    val_sizes = [len(data.val_subset(t.class_ids)[0]) for t in schedule]
+    val_sizes = [len(data.rows("validation", t.class_ids)) for t in schedule]
+    buffer_arrays = (buf.features, buf.labels, buf.logits)
     return {
         "strategy": cfg.strategy,
         "config": dataclasses.asdict(cfg),
@@ -331,6 +338,8 @@ def _assemble_report(cfg, schedule, data, model, matrix, loss_curve, buf) -> dic
         "num_tasks": len(schedule),
         "task_classes": [list(t.class_ids) for t in schedule],
         "parameter_count": model.count_parameters(),
+        "model_bytes": sum(p.data.nbytes for p in model.parameters),
+        "buffer_bytes": sum(a.nbytes for a in buffer_arrays if a is not None),
         "accuracy_matrix": matrix.rows,
         "per_task_final": list(matrix.final_row),
         "acc": compute_acc(matrix),
@@ -350,7 +359,8 @@ def run_schedule(schedule, data: FeaturizedDataset, cfg: TrainConfig) -> RunResu
     one phase pooling every scheduled class and ends with a single row over
     all tasks (BWT absent). finetune and joint are replay-free (see
     TrainConfig). The report carries ACC, BWT (absent for a single row),
-    per-task accuracies, loss curves, and buffer accounting.
+    per-task accuracies, loss curves, buffer accounting, and the bytes the
+    parameters and the allocated buffer arrays take.
     """
     _validate_schedule(schedule, data)
     if cfg.strategy == "joint":

@@ -456,6 +456,21 @@ class TestGraphRelease:
         with pytest.raises(InvalidInputError, match="released"):
             ad.tsum(r).backward()
 
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_graph_holds_no_input_without_a_gradient(self, padding):
+        rng = np.random.default_rng(4)
+        x = tensor(rng.standard_normal((2, 3, 8)), grad=False, name="x")
+        w = tensor(rng.standard_normal((4, 3, 3)), name="w")
+        b = tensor(np.zeros(4), name="b")
+        h = ad.conv1d(x, w, b, 1, padding)
+        assert h._parents == (w, b)
+        assert all(cell.cell_contents is not x for cell in h._backward.__closure__)
+        stored = tensor(np.zeros((2, 4)), grad=False)
+        loss = ad.mse_logit_loss(stored, ad.global_avg_pool(h))
+        assert loss._parents[0] is not stored and len(loss._parents) == 1
+        loss.backward()
+        assert x.grad is None and w.grad is not None and b.grad is not None
+
     def test_values_stay_readable_after_release(self):
         _, (h, r, out) = self._graph()
         before = (h.data.copy(), out.item())

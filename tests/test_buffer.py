@@ -111,6 +111,20 @@ class TestSampleBatch:
         with pytest.raises(InvalidInputError):
             buf.sample_batch(0, random.Random(0))
 
+    def test_batch_holds_the_rows_of_the_drawn_indices(self):
+        buf = ReservoirBuffer(capacity=20, num_classes=3, seed=0)
+        for i in range(20):
+            buf.insert(entry(i))
+        rng, twin = random.Random(5), random.Random(5)
+        idx = buf.sample_indices(8, twin)
+        features, labels, logits = buf.sample_batch(8, rng)
+        assert rng.getstate() == twin.getstate()
+        assert len(set(idx)) == 8 and all(0 <= i < 20 for i in idx)
+        np.testing.assert_array_equal(features, buf.features[idx])
+        np.testing.assert_array_equal(labels, buf.labels[idx])
+        np.testing.assert_array_equal(logits, buf.logits[idx])
+        assert sorted(buf.sample_indices(30, random.Random(0))) == list(range(20))
+
     def test_sampled_entries_are_copies(self):
         buf = ReservoirBuffer(capacity=4, num_classes=3, seed=0)
         buf.insert(entry(5))

@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,11 +12,12 @@ import pytest
 
 import dekws.autodiff
 import dekws.cli
+import dekws.engine
 from dekws.checkpoint import load_checkpoint
 from dekws.cli import cmd_eval, main, run_digests
 from dekws.config import _KNOWN_KEYS, parse_experiment_config
 from dekws.dataset import SyntheticSpec, scan_gsc_layout
-from dekws.engine import TrainConfig
+from dekws.engine import TrainConfig, train_step
 from dekws.errors import CheckpointError, InvalidConfigError
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -308,6 +312,109 @@ class TestCmdRun:
         code = main(["eval", "--checkpoint", str(ckpt), "--config", str(config)])
         assert code == 2
         assert "JSON object" in capsys.readouterr().err
+
+
+def copying_train_phase(model, task, data, cfg, adam_state, buf, shuffle_rng, sampler_rng,
+                        loss_curve):
+    """Reference for engine._train_phase: the same loop over a copy of the
+    task's training rows, in the dataset's dtype."""
+    train_x, train_y = data.train_subset(task.class_ids)
+    for epoch in range(cfg.epochs_per_task):
+        perm = shuffle_rng.permutation(len(train_x))
+        for start in range(0, len(train_x), cfg.batch_size):
+            idx = perm[start : start + cfg.batch_size]
+            breakdown = train_step(model, (train_x[idx], train_y[idx]), buf, cfg,
+                                   adam_state, sampler_rng)
+            loss_curve.append({"task": task.task_id, "epoch": epoch,
+                               **dataclasses.asdict(breakdown)})
+    if len(buf) > 0:
+        dekws.engine._recalibrate_batchnorm(model, buf)
+
+
+class TestRunPrecision:
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_run_keeps_the_bits_of_float64_copied_batches(
+            self, tmp_path, monkeypatch, precision):
+        # Both runs write to one output path, which the report and the
+        # checkpoint echo.
+        config = tmp_path / "exp.cfg"
+        config.write_text(TINY_RUN_CONFIG.replace("float32", precision))
+        out = tmp_path / "out"
+        artifacts = []
+        for reference in (False, True):
+            if reference:
+                load = dekws.cli._load_dataset
+                monkeypatch.setattr(dekws.cli, "_load_dataset",
+                                    lambda cfg, dtype=None: load(cfg, np.float64))
+                monkeypatch.setattr(dekws.engine, "_train_phase", copying_train_phase)
+            assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+            report = json.loads((out / "report.json").read_text())
+            del report["wall_clock_seconds"]
+            artifacts.append((report, (out / "matrix.csv").read_bytes(),
+                              (out / "checkpoint.dkws").read_bytes()))
+        (got, got_csv, got_ckpt), (want, want_csv, want_ckpt) = artifacts
+        assert got_csv == want_csv
+        assert got["params_sha256"] == want["params_sha256"]
+        if precision == "float64":
+            assert got == want and got_ckpt == want_ckpt
+        else:
+            assert got["buffer_bytes"] < want["buffer_bytes"]
+            differ = {k for k in got if got[k] != want[k]}
+            assert differ == {"buffer_bytes", "buffer_sha256"}
+
+    def test_float32_checkpoint_keeps_float32_rows_and_evaluates_to_the_run(
+            self, tmp_path, capsys):
+        config = tmp_path / "exp.cfg"
+        config.write_text(TINY_RUN_CONFIG)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        loaded = load_checkpoint(out / "checkpoint.dkws")
+        buf = loaded.buffer
+        assert loaded.model.dtype == buf.features.dtype == buf.logits.dtype == np.float32
+        assert len(buf) == 24
+        assert run_digests(loaded.model, buf)["buffer_sha256"] == report["buffer_sha256"]
+        filled = sum(getattr(buf, name)[:len(buf)].nbytes
+                     for name in ("features", "labels", "logits"))
+        assert filled == report["buffer_bytes"]  # the buffer is full
+        eval_out = tmp_path / "eval_out"
+        assert main(["eval", "--checkpoint", str(out / "checkpoint.dkws"),
+                     "--config", str(config), "--out", str(eval_out)]) == 0
+        eval_row = (eval_out / "eval_matrix.csv").read_text().splitlines()[-1]
+        run_row = (out / "matrix.csv").read_text().splitlines()[-1]
+        assert eval_row.split(",")[1:] == run_row.split(",")[1:]
+
+    def test_eval_loads_features_in_the_checkpoint_dtype(self, tmp_path, monkeypatch):
+        config = tmp_path / "exp.cfg"
+        config.write_text(TINY_RUN_CONFIG)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        load, dtypes = dekws.cli._load_dataset, []
+
+        def recording_load(cfg, dtype=None):
+            data = load(cfg, dtype)
+            dtypes.append(data.features.dtype)
+            return data
+
+        monkeypatch.setattr(dekws.cli, "_load_dataset", recording_load)
+        wide = tmp_path / "wide.cfg"
+        wide.write_text(TINY_RUN_CONFIG.replace("float32", "float64"))
+        assert main(["eval", "--checkpoint", str(out / "checkpoint.dkws"),
+                     "--config", str(wide)]) == 0
+        assert dtypes == [np.float32]
+
+    def test_report_names_the_blas_runtime(self, tmp_path):
+        config = tmp_path / "exp.cfg"
+        config.write_text(TINY_RUN_CONFIG)
+        out = tmp_path / "out"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        src = str(Path(dekws.cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run([sys.executable, "-m", "dekws.cli", "run", "--config", str(config),
+                        "--out", str(out)], env=env, capture_output=True, check=True)
+        report = json.loads((out / "report.json").read_text())
+        assert report["blas_threads"] == 1
+        assert isinstance(report["blas_core"], str) and report["blas_core"]
 
 
 class TestOutputDirectory:

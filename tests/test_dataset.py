@@ -343,6 +343,33 @@ class TestFeaturize:
         val_x, val_y = data.val_subset([1])
         assert set(val_y) == {1} and len(val_x) == 2
 
+    def test_rows_index_the_subset(self):
+        spec = SyntheticSpec(num_classes=3, examples_per_class=10, seed=2)
+        data = load_synthetic(spec, split_seed=0)
+        rows = data.rows("train", [2, 0])
+        assert list(rows) == sorted(rows) and len(rows) == 16
+        assert set(data.labels[rows]) == {0, 2}
+        assert (data.splits[rows] == "train").all()
+        train_x, train_y = data.train_subset([0, 2])
+        assert train_x.tobytes() == data.features[rows].tobytes()
+        np.testing.assert_array_equal(train_y, data.labels[rows])
+        assert list(data.rows("validation", [1])) == list(
+            np.flatnonzero((data.labels == 1) & (data.splits == "validation")))
+
+    def test_float32_features_are_the_float64_features_rounded_once(self, tmp_path):
+        spec = SyntheticSpec(num_classes=2, examples_per_class=4, seed=5)
+        wide = load_synthetic(spec, split_seed=1)
+        narrow = load_synthetic(spec, split_seed=1, dtype=np.float32)
+        assert narrow.features.dtype == np.float32
+        assert narrow.features.tobytes() == wide.features.astype(np.float32).tobytes()
+        np.testing.assert_array_equal(narrow.labels, wide.labels)
+        np.testing.assert_array_equal(narrow.splits, wide.splits)
+        write_synthetic_tree(spec, tmp_path)
+        words = wide.class_names
+        from_disk = load_gsc(tmp_path, seed=1, expected_words=words, dtype=np.float32)
+        assert from_disk.features.tobytes() == narrow.features.tobytes()
+        assert load_gsc(tmp_path, seed=1, expected_words=words).features.dtype == np.float64
+
     def test_empty_manifest_rejected(self):
         with pytest.raises(InvalidDatasetError):
             featurize(Manifest([]), lambda rid: None)

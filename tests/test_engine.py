@@ -554,3 +554,86 @@ class TestZeroWeightedTerms:
         replayed = [e for e in result.report["loss_curve"] if e["l_distill"] is not None]
         assert replayed
         assert all(e["l_rehearsal"] is None for e in result.report["loss_curve"])
+
+
+class TestZeroWeightedDraws:
+    @pytest.mark.parametrize("alpha, beta, batches", [
+        (0.5, 1.0, 2), (0.0, 1.0, 1), (0.5, 0.0, 1), (0.0, 0.0, 0),
+    ])
+    def test_a_weight_zero_term_draws_indices_not_rows(
+            self, tiny_data, monkeypatch, alpha, beta, batches):
+        x, y = tiny_data.train_subset(range(tiny_data.num_classes))
+        samplers = []
+        for a, b in ((alpha, beta), (0.5, 1.0)):
+            cfg = tiny_cfg(batch_size=8, alpha=a, beta=b)
+            model, state, buf = step_fixture(cfg, tiny_data.num_classes)
+            sampler = python_stream(0, "sampler")
+            train_step(model, (x[:8], y[:8]), buf, cfg, state, sampler)
+            calls = []
+            draw = ReservoirBuffer.sample_batch
+            monkeypatch.setattr(ReservoirBuffer, "sample_batch",
+                                lambda self, k, rng: calls.append(k) or draw(self, k, rng))
+            train_step(model, (x[8:16], y[8:16]), buf, cfg, state, sampler)
+            monkeypatch.undo()
+            samplers.append(sampler.getstate())
+            if (a, b) == (alpha, beta):
+                assert calls == [8] * batches
+        assert samplers[0] == samplers[1]
+
+
+def desk_data():
+    """The desk benchmark's 12-class data, featurized in float64."""
+    frequencies = tuple((400.0 + 55.0 * c, 2200.0 + 90.0 * c) for c in range(12))
+    spec = SyntheticSpec(num_classes=12, examples_per_class=60, noise_amplitude=0.5,
+                         amplitude_jitter=0.2, seed=0, frequencies=frequencies)
+    return load_synthetic(spec, split_seed=0)
+
+
+class TestOneCopyOfTheData:
+    def test_float32_run_on_float64_features_keeps_every_bit(self, tiny_data, tiny_schedule):
+        spec = SyntheticSpec(num_classes=4, examples_per_class=12,
+                             noise_amplitude=0.1, seed=0)
+        narrow = load_synthetic(spec, split_seed=0, dtype=np.float32)
+        cfg = tiny_cfg(precision="float32")
+        wide_run = run_schedule(tiny_schedule, tiny_data, cfg)
+        narrow_run = run_schedule(tiny_schedule, narrow, cfg)
+        assert tiny_data.features.dtype == np.float64
+        for run in (wide_run, narrow_run):
+            assert run.buffer.features.dtype == run.buffer.logits.dtype == np.float32
+        assert param_digest(wide_run.model) == param_digest(narrow_run.model)
+        assert buffer_digest(wide_run.buffer) == buffer_digest(narrow_run.buffer)
+        assert wide_run.report == narrow_run.report
+
+    def test_report_states_the_bytes_the_run_stores(self, tiny_data, tiny_schedule):
+        reports = {p: run_schedule(tiny_schedule, tiny_data, tiny_cfg(precision=p)).report
+                   for p in ("float32", "float64")}
+        r32, r64 = reports["float32"], reports["float64"]
+        assert r32["model_bytes"] == 4 * r32["parameter_count"] == 260_464
+        assert r64["model_bytes"] == 2 * r32["model_bytes"]
+        # 24 rows of (98, 40) features and 4 logits, plus 24 int64 labels.
+        assert r32["buffer_bytes"] == 24 * (98 * 40 * 4 + 8 + 4 * 4) == 376_896
+        labels = 24 * 8
+        assert r32["buffer_bytes"] - labels == (r64["buffer_bytes"] - labels) // 2
+        finetune = run_schedule(tiny_schedule, tiny_data, tiny_cfg(strategy="finetune"))
+        assert finetune.report["buffer_bytes"] == 0
+
+    def test_one_epoch_float32_desk_run_peak_memory(self):
+        # The float64 features are loaded before tracing starts. Traced are
+        # one training graph, the float32 buffer (3.1 MiB at capacity 200),
+        # float32 batches and replay draws, and evaluation: 36.0 MiB. The
+        # bound sits below the 49.0 MiB the same run takes when it copies
+        # each task's rows, keeps batches, buffer rows and draws in float64
+        # and holds the input batch in its graph.
+        data = desk_data()
+        schedule = build_task_schedule(12, "custom", seed=0, first=3, per_task=3)
+        cfg = TrainConfig(lr=0.01, batch_size=128, epochs_per_task=1,
+                          buffer_capacity=200, seed=4, precision="float32")
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = run_schedule(schedule, data, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(result.buffer) == 200
+        assert peak <= 42 << 20, peak / (1 << 20)
