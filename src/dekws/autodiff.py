@@ -37,22 +37,19 @@ drops them before col2im. Every per-example GEMM multiplies the same
 matrices as a GEMM over strided whole-batch columns did, only with a
 smaller leading dimension, so outputs and gradients keep their bits.
 
-Training kernels: for kernels wider than 1, conv1d's weight gradient is
-(cols2 @ g2.T).T, a GEMM with C_in*K rows instead of C_out, and col2im runs
-position-major: the column gradient is taken over (l, n)-ordered columns,
-each tap adds into a zeroed (C_in, L_pad, N) accumulator (whole
-(C_in, L_out*N) blocks at stride 1, N-long rows at stride 2), and the
-result is copied back channel-major once. The order contract: each padded
-position adds its K terms in ascending tap order, starting from +0.0, as
-the (C_in, N, L_pad) scatter it replaced did, so the bits are the same.
-k = 1 convs (the residual shortcuts) keep g2 @ cols2.T and that scatter: at
-2 BLAS threads the tall product differs in the last bits for block 1's
-shortcut at N = 144 and 200, and the wide one is faster at that shape.
-Train-mode batch norm takes its float64 mean and variance from one float64
-copy of the rows, subtracting and squaring in place.
-
-A graph must stay on the thread that built it; the grad-enable flag is
-thread-local so concurrent eval and training do not interfere.
+Training kernels: col2im runs position-major for every kernel width: the
+column gradient is taken over (l, n)-ordered columns, each tap adds into a
+zeroed (C_in, L_pad, N) accumulator (whole (C_in, L_out*N) blocks at
+stride 1, N-long rows at stride 2), and the result is copied back
+channel-major once. The order contract: each padded position adds its K
+terms in ascending tap order, starting from +0.0, as a (C_in, N, L_pad)
+scatter would, so the bits do not depend on the accumulator's layout. For
+kernels wider than 1 the weight gradient is (cols2 @ g2.T).T, a GEMM with
+C_in*K rows instead of C_out. k = 1 convs (the residual shortcuts) keep
+g2 @ cols2.T: at 2 BLAS threads the tall product differs in the last bits
+for block 1's shortcut at N = 144 and 200. Train-mode batch norm takes its
+float64 mean and variance from one float64 copy of the rows, subtracting
+and squaring in place.
 
 Allocation: a training step allocates and frees tens of megabytes of
 activations, columns and gradients in arrays of up to a few megabytes
@@ -74,7 +71,6 @@ environment is left in force.
 import ctypes
 import os
 import sys
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -111,22 +107,23 @@ def _pin_malloc_thresholds() -> bool:
 
 MALLOC_PINNED = _pin_malloc_thresholds()
 
-_state = threading.local()
+_grad_enabled = True
 
 
 def grad_enabled() -> bool:
-    return getattr(_state, "enabled", True)
+    return _grad_enabled
 
 
 @contextmanager
 def no_grad():
     """Disable graph construction (e.g. during evaluation)."""
-    previous = grad_enabled()
-    _state.enabled = False
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
     try:
         yield
     finally:
-        _state.enabled = previous
+        _grad_enabled = previous
 
 
 class Tensor:
@@ -381,13 +378,8 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
         _accumulate(bias, g2.sum(axis=1))
         if k == 1:  # the shortcut convs; see "Training kernels" above
             _accumulate(weight, (g2 @ cols2.T).reshape(wd.shape))
-            if x_kept is not None:
-                grad_cols = (w2.T @ g2).reshape(c_in, n, l_out)
-                grad_xp = np.zeros((c_in, n, l_pad), dtype=grad_cols.dtype)
-                grad_xp[:, :, : stride * l_out : stride] += grad_cols
-                _accumulate(x_kept, grad_xp[:, :, padding : padding + length].transpose(1, 0, 2))
-            return
-        _accumulate(weight, (cols2 @ g2.T).T.reshape(wd.shape))
+        else:
+            _accumulate(weight, (cols2 @ g2.T).T.reshape(wd.shape))
         del cols2  # col2im does not read the columns
         if x_kept is not None:
             # Position-major col2im over (l, n)-ordered columns.

@@ -146,12 +146,21 @@ class ReservoirBuffer:
         return buf
 
     def _allocate(self, features, logits) -> None:
-        """Arrays of capacity rows shaped and typed like one entry's."""
+        """Arrays of capacity rows shaped and typed like one entry's;
+        InvalidInputError if they cannot be allocated."""
         features = np.asarray(features)
         logits = np.asarray(logits)
-        self.features = np.empty((self.capacity, *features.shape), features.dtype)
-        self.labels = np.empty(self.capacity, np.int64)
-        self.logits = np.empty((self.capacity, *logits.shape), logits.dtype)
+        try:
+            self.features = np.empty((self.capacity, *features.shape), features.dtype)
+            self.labels = np.empty(self.capacity, np.int64)
+            self.logits = np.empty((self.capacity, *logits.shape), logits.dtype)
+        except (MemoryError, ValueError):  # ValueError: more bytes than an index holds
+            self.features = self.labels = self.logits = None
+            row_bytes = features.nbytes + 8 + logits.nbytes
+            raise InvalidInputError(
+                f"cannot allocate a buffer of capacity {self.capacity} at "
+                f"{row_bytes} bytes a row"
+            ) from None
 
 
 def _copy_entry(buf: ReservoirBuffer, slot: int, entry: BufferEntry) -> None:

@@ -153,8 +153,9 @@ def _restore(header: dict, arrays: dict) -> tuple[TcResNet8, ReservoirBuffer | N
     key, a missing array, an array that does not fit the model, or a buffer
     that breaks the reservoir invariant (min(num_seen, capacity) rows of
     num_classes logits, as many as num_entries) raises KeyError,
-    IndexError, TypeError, ValueError or OverflowError; a buffer capacity
-    too large to allocate raises MemoryError.
+    IndexError, TypeError, ValueError or OverflowError, as do a model dtype
+    other than float32 or float64 and a buffer capacity too large to
+    allocate; a model too large to allocate raises MemoryError.
     """
     mc = header["model_config"]
     names = [f.name for f in dataclasses.fields(TcResNet8Config)]

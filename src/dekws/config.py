@@ -30,11 +30,11 @@ import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 
-from .dataset import SyntheticSpec
+from .dataset import NAMED_LAYOUTS, SyntheticSpec
 from .engine import STRATEGIES, TrainConfig
 from .errors import InvalidConfigError, InvalidInputError
 
-_SCHEDULE_LAYOUTS = ("6task", "11task", "21task", "custom")
+_SCHEDULE_LAYOUTS = (*NAMED_LAYOUTS, "custom")
 
 # The SyntheticSpec fields a config sets; tone pairs and clip shape stay default.
 _SYNTHETIC_FIELDS = ("num_classes", "examples_per_class", "noise_amplitude",
@@ -75,10 +75,11 @@ class ExperimentConfig:
     train: TrainConfig
 
     def effective_dict(self) -> dict:
-        """Every resolved field, including defaults, for the report echo."""
+        """Every resolved field but out_dir, including defaults, for the
+        report and checkpoint echo; a run's files do not depend on where
+        they are written."""
         return {
             "seed": self.seed,
-            "out_dir": self.out_dir,
             "dataset.kind": self.dataset_kind,
             "dataset.train_fraction": self.train_fraction,
             "dataset.gsc.root": self.gsc_root,

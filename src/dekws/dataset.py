@@ -36,6 +36,9 @@ GSC_V1_WORDS = (
 
 MFCC_CONFIG = MfccConfig()  # the one feature configuration of every loader
 
+# (first, per_task) class counts of the named schedule layouts.
+NAMED_LAYOUTS = {"6task": (15, 3), "11task": (10, 2), "21task": (10, 1)}
+
 
 @dataclass(frozen=True)
 class ManifestRecord:
@@ -204,9 +207,8 @@ def build_task_schedule(num_classes: int, layout: str, seed: int = 0,
     (each requires 30 classes), or "custom" with explicit first/per_task
     sizes.
     """
-    named = {"6task": (15, 3), "11task": (10, 2), "21task": (10, 1)}
-    if layout in named:
-        first, per_task = named[layout]
+    if layout in NAMED_LAYOUTS:
+        first, per_task = NAMED_LAYOUTS[layout]
     elif layout == "custom":
         if not first or not per_task:
             raise InvalidScheduleError(

@@ -87,24 +87,9 @@ class MfccConfig:
 
 @dataclass
 class FeatureMatrix:
-    """MFCC features of one utterance: n_frames x n_mfcc."""
+    """MFCC features of one utterance: a float64 n_frames x n_mfcc array."""
 
     values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2:
-            raise InvalidShapeError(
-                f"feature matrix must be 2-D, got shape {self.values.shape}"
-            )
-
-    @property
-    def n_frames(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_mfcc(self) -> int:
-        return self.values.shape[1]
 
 
 def pad_or_trim(w: Waveform, target_length: int) -> Waveform:
@@ -134,23 +119,18 @@ def hann_window(length: int) -> np.ndarray:
     return window
 
 
-def stft_power(w: Waveform, cfg: MfccConfig, window: np.ndarray | None = None) -> np.ndarray:
+def stft_power(w: Waveform, cfg: MfccConfig) -> np.ndarray:
     """Power spectrogram, n_frames x (fft_size/2 + 1).
 
-    Frames of frame_length at stride hop_length are windowed (periodic Hann
-    unless an override window is given), zero-padded to fft_size, and
-    transformed; each entry is the squared DFT magnitude.
+    Frames of frame_length at stride hop_length are windowed (periodic
+    Hann), zero-padded to fft_size, and transformed; each entry is the
+    squared DFT magnitude.
     """
     if cfg.frame_length > len(w):
         raise InvalidInputError(
             f"frame_length ({cfg.frame_length}) exceeds waveform length ({len(w)})"
         )
-    if window is None:
-        window = hann_window(cfg.frame_length)
-    elif window.shape != (cfg.frame_length,):
-        raise InvalidShapeError(
-            f"window must have shape ({cfg.frame_length},), got {window.shape}"
-        )
+    window = hann_window(cfg.frame_length)
     x = w.samples.astype(np.float64)
     n_frames = (len(w) - cfg.frame_length) // cfg.hop_length + 1
     stride = x.strides[0]

@@ -129,11 +129,14 @@ class _ResidualBlock:
 
 
 class TcResNet8:
-    """Backbone model, initialized deterministically under seed."""
+    """Backbone model, initialized deterministically under seed; its
+    parameters and activations are float32 or float64."""
 
     def __init__(self, cfg: TcResNet8Config, seed: int, dtype=np.float64):
         self.cfg = cfg
         self.dtype = np.dtype(dtype)
+        if self.dtype not in (np.float32, np.float64):
+            raise InvalidInputError(f"model dtype must be float32 or float64, got {self.dtype}")
         rng = numpy_stream(seed, "init")
         c = cfg.channels
         self.stem_conv = Conv1d(
@@ -168,7 +171,7 @@ class TcResNet8:
                 f"expected features (N, frames, {self.cfg.input_channels}), "
                 f"got {features.shape}"
             )
-        x = ad.Tensor(np.ascontiguousarray(features.transpose(0, 2, 1), dtype=self.dtype))
+        x = ad.Tensor(features.transpose(0, 2, 1).astype(self.dtype, copy=False))
         h = ad.relu(self.stem_bn(self.stem_conv(x), training))
         for block in self.blocks:
             h = block(h, training)

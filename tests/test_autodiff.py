@@ -697,7 +697,7 @@ def assert_same_bytes(got, want):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("n", [1, 16, 128, 200])
+@pytest.mark.parametrize("n", [1, 16, 128, 144, 200])
 @pytest.mark.parametrize("layer", TC_RESNET8_CONVS,
                          ids=[f"{c[0]}-{c[1]}-k{c[2]}-s{c[3]}" for c in TC_RESNET8_CONVS])
 class TestTrainingKernelsAreByteIdentical:

@@ -183,6 +183,21 @@ class TestCorruption:
         with pytest.raises(CheckpointError, match=after_path(path, "dtype")):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("dtype", ["int8", "float16"])
+    def test_model_dtype_other_than_float32_or_float64_rejected(self, tmp_path, dtype):
+        # Loaded as is, the model would cast its input to dtype and
+        # evaluate garbage logits.
+        path = tmp_path / "model.dkws"
+        save_checkpoint(path, trained_model())
+
+        def retype(header):
+            header["model_config"]["dtype"] = dtype
+            return header
+
+        rewrite_header(path, retype)
+        with pytest.raises(CheckpointError, match=after_path(path, "float32 or float64")):
+            load_checkpoint(path)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "model.dkws"
         save_checkpoint(path, trained_model())

@@ -252,6 +252,31 @@ class TestCmdRun:
         assert flipped["params_sha256"] != digests[0]["params_sha256"]
         assert flipped["buffer_sha256"] == digests[0]["buffer_sha256"]
 
+    def test_run_files_do_not_depend_on_the_output_directory(self, tmp_path):
+        config = tmp_path / "exp.cfg"
+        config.write_text(TINY_RUN_CONFIG)
+        outs = (tmp_path / "o1", tmp_path / "elsewhere" / "o2")
+        for out in outs:
+            assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        checkpoints = [(out / "checkpoint.dkws").read_bytes() for out in outs]
+        assert checkpoints[0] == checkpoints[1]
+        reports = [json.loads((out / "report.json").read_text()) for out in outs]
+        for report in reports:
+            del report["wall_clock_seconds"]
+        assert reports[0] == reports[1]
+
+    # numpy raises MemoryError at 10**12 rows and ValueError ("array is too
+    # big") at 10**15.
+    @pytest.mark.parametrize("capacity", [10**12, 10**15])
+    def test_buffer_too_large_to_allocate_exits_2(self, tmp_path, capsys, capacity):
+        config = tmp_path / "huge.cfg"
+        config.write_text(TINY_RUN_CONFIG.replace(
+            "train.buffer_capacity = 24", f"train.buffer_capacity = {capacity}"))
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"capacity {capacity}" in err and "Traceback" not in err
+
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "none.cfg")]) == 2
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from dekws.dsp import (
     LOG_FLOOR_EPSILON,
-    FeatureMatrix,
     MfccConfig,
     Waveform,
     hann_window,
@@ -79,14 +78,14 @@ class TestStftPower:
         assert spec.shape == (98, 257)
         assert np.all(spec == 0.0)
 
-    def test_impulse_with_rectangular_window(self):
-        # A unit impulse at the start of frame 0 has a flat spectrum: every
-        # bin of that frame is exactly 1.0 under a rectangular window.
+    def test_impulse_at_the_hann_peak_has_a_flat_spectrum(self):
+        # The periodic Hann window is exactly 1.0 at frame_length // 2, so a
+        # unit impulse there has a flat spectrum: every bin of frame 0 is
+        # exactly 1.0.
         cfg = MfccConfig()
         samples = np.zeros(16000, dtype=np.float32)
-        samples[0] = 1.0
-        rect = np.ones(cfg.frame_length)
-        spec = stft_power(Waveform(samples), cfg, window=rect)
+        samples[cfg.frame_length // 2] = 1.0
+        spec = stft_power(Waveform(samples), cfg)
         np.testing.assert_allclose(spec[0], np.ones(cfg.n_bins), atol=1e-12)
 
     def test_sinusoid_at_bin_matches_hann_leakage(self):
@@ -254,12 +253,6 @@ class TestMfcc:
         a = mfcc(Waveform(samples.copy()))
         b = mfcc(Waveform(samples.copy()))
         assert a.values.tobytes() == b.values.tobytes()
-
-    def test_feature_matrix_properties(self):
-        fm = FeatureMatrix(np.zeros((98, 40)))
-        assert fm.n_frames == 98 and fm.n_mfcc == 40
-        with pytest.raises(InvalidShapeError):
-            FeatureMatrix(np.zeros(40))
 
     def test_config_invariants_enforced(self):
         with pytest.raises(InvalidInputError):
