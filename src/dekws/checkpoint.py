@@ -19,7 +19,7 @@ import numpy as np
 
 from .buffer import ReservoirBuffer
 from .errors import CheckpointError
-from .model import TcResNet8, TcResNet8Config
+from .model import TcResNet8, TcResNet8Config, state_shapes
 
 MAGIC = b"DKWS"
 VERSION = 1
@@ -150,7 +150,8 @@ def _restore(header: dict, arrays: dict) -> tuple[TcResNet8, ReservoirBuffer | N
     """Model and buffer described by a parsed header and its arrays.
 
     A header value of the wrong type, a missing or unknown model_config
-    key, a missing array, an array that does not fit the model, or a buffer
+    key, a missing array, an array whose shape differs from the one
+    model_config gives (checked before the model is built), or a buffer
     that breaks the reservoir invariant (min(num_seen, capacity) rows of
     num_classes logits, as many as num_entries) raises KeyError,
     IndexError, TypeError, ValueError or OverflowError, as do a model dtype
@@ -163,9 +164,13 @@ def _restore(header: dict, arrays: dict) -> tuple[TcResNet8, ReservoirBuffer | N
         raise ValueError(f"model_config must be an object with keys {names} and dtype")
     cfg = TcResNet8Config(**{name: mc[name] for name in names})
     cfg = dataclasses.replace(cfg, channels=tuple(cfg.channels))
+    shapes = state_shapes(cfg)
+    for name, shape in shapes.items():
+        if arrays[name].shape != shape:
+            raise ValueError(f"{name}: model_config gives shape {shape}, "
+                             f"the array has {arrays[name].shape}")
     model = TcResNet8(cfg, seed=0, dtype=np.dtype(mc["dtype"]))
-    model_keys = set(model.state_arrays())
-    model.load_state_arrays({k: v for k, v in arrays.items() if k in model_keys})
+    model.load_state_arrays({name: arrays[name] for name in shapes})
 
     bmeta = header.get("buffer")
     if bmeta is None:

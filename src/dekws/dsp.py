@@ -2,8 +2,10 @@
 
 Pipeline: pad_or_trim -> stft_power -> log_mel_energies -> orthonormal DCT-II
 along the mel axis. Under the default config a one-second clip yields a
-98 x 40 matrix. All stages are pure functions of their arguments, so
-featurization is deterministic and thread-safe.
+98 x 40 matrix. All stages are pure functions of their arguments, and the
+window and filterbank they share are cached read-only, so featurization is
+deterministic and thread-safe: dataset.featurize runs mfcc on two threads
+at once.
 
 Conventions fixed here (they vary between toolkits):
   * mel(f) = 2595 * log10(1 + f / 700)  (HTK scale)
@@ -140,7 +142,10 @@ def stft_power(w: Waveform, cfg: MfccConfig) -> np.ndarray:
         strides=(cfg.hop_length * stride, stride),
     )
     spectrum = np.fft.rfft(frames * window, n=cfg.fft_size, axis=1)
-    return spectrum.real**2 + spectrum.imag**2
+    # re**2 + im**2, with one temporary fewer for each frontend thread.
+    power = np.square(spectrum.real)
+    power += np.square(spectrum.imag)
+    return power
 
 
 def hz_to_mel(f):

@@ -50,6 +50,27 @@ class TcResNet8Config:
             )
 
 
+def state_shapes(cfg: TcResNet8Config) -> dict:
+    """The shape of each state_arrays entry of a TcResNet8 of cfg, in the
+    same order, worked out without building the model."""
+    c, k = cfg.channels, cfg.kernel_block
+    layers = [("stem", (c[0], cfg.input_channels, cfg.kernel_first)), ("stem_bn", c[0])]
+    for i in range(3):
+        b = f"block{i + 1}"
+        layers += [(f"{b}.conv1", (c[i + 1], c[i], k)), (f"{b}.bn1", c[i + 1]),
+                   (f"{b}.conv2", (c[i + 1], c[i + 1], k)), (f"{b}.bn2", c[i + 1]),
+                   (f"{b}.skip", (c[i + 1], c[i], 1)), (f"{b}.bn_skip", c[i + 1])]
+    layers.append(("head", (cfg.num_classes, c[3])))
+    params, stats = {}, {}
+    for name, shape in layers:
+        if isinstance(shape, tuple):  # a conv or linear weight
+            params |= {f"{name}.weight": shape, f"{name}.bias": shape[:1]}
+        else:  # a batch norm over shape channels
+            params |= {f"{name}.gamma": (shape,), f"{name}.beta": (shape,)}
+            stats |= {f"{name}.running_mean": (shape,), f"{name}.running_var": (shape,)}
+    return params | stats
+
+
 def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:
     bound = np.sqrt(6.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape).astype(dtype)

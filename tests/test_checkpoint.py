@@ -3,6 +3,7 @@
 import json
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -230,6 +231,26 @@ class TestCorruption:
         rewrite_header(path, more_classes)
         with pytest.raises(CheckpointError, match="does not fit"):
             load_checkpoint(path)
+
+    def test_sizes_larger_than_the_arrays_rejected_before_building_the_model(self, tmp_path):
+        # Built first, a model with an 8,000-channel stem fills 11.5 MB of
+        # float32 weights, drawn in float64, before any shape is compared.
+        path = tmp_path / "model.dkws"
+        save_checkpoint(path, trained_model(dtype=np.float32))
+
+        def widen(header):
+            header["model_config"]["channels"][0] = 8000
+            return header
+
+        rewrite_header(path, widen)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match=after_path(path, r"stem\.weight")):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak / (1 << 20)
 
     def test_running_stat_of_wrong_shape_rejected(self, tmp_path):
         model = trained_model()

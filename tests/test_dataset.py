@@ -1,12 +1,20 @@
 """WAV parsing, manifests, splits, schedules, and the synthetic surrogate."""
 
+import hashlib
+import os
 import re
 import struct
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dekws import dataset
 from dekws.dataset import (
     GSC_V1_WORDS,
     MAX_DEFAULT_CLASSES,
@@ -408,3 +416,129 @@ class TestStreamedSynthesis:
         finally:
             tracemalloc.stop()
         assert peak <= data.features.nbytes + (4 << 20), peak / (1 << 20)
+
+
+def class_words(spec):
+    return [f"class_{c:02d}" for c in range(spec.num_classes)]
+
+
+# Prints the SHA-256 of load_gsc's and load_synthetic's features after
+# pinning the process to one CPU: argv[1] is the tree of SyntheticSpec(3, 7,
+# seed=4), whose clips load_synthetic synthesizes again.
+_ONE_CPU_SCRIPT = """
+import hashlib, os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from dekws.dataset import SyntheticSpec, load_gsc, load_synthetic
+spec = SyntheticSpec(num_classes=3, examples_per_class=7, seed=4)
+words = [f"class_{c:02d}" for c in range(3)]
+for data in (load_gsc(sys.argv[1], seed=2, expected_words=words),
+             load_synthetic(spec, split_seed=2)):
+    print(hashlib.sha256(data.features.tobytes()).hexdigest())
+"""
+
+
+class TestFrontendThreads:
+    """featurize runs the frontend on a thread pool, loads on the caller's."""
+
+    def test_load_gsc_features_equal_stacked_per_clip_mfcc(self, tmp_path):
+        # 21 clips: five full 4-clip blocks and a last block of one.
+        spec = SyntheticSpec(num_classes=3, examples_per_class=7, seed=4)
+        write_synthetic_tree(spec, tmp_path)
+        words = class_words(spec)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, to shake out races
+        try:
+            data = load_gsc(tmp_path, seed=2, expected_words=words)
+        finally:
+            sys.setswitchinterval(interval)
+        manifest = deterministic_split(scan_gsc_layout(tmp_path, words), 0.8, seed=2)
+        want = np.stack([mfcc(read_wav_pcm16(tmp_path / r.record_id), MFCC_CONFIG).values
+                         for r in manifest.records])
+        assert data.features.dtype == want.dtype and data.features.tobytes() == want.tobytes()
+
+    def test_one_cpu_process_gives_the_same_bytes(self, tmp_path):
+        spec = SyntheticSpec(num_classes=3, examples_per_class=7, seed=4)
+        write_synthetic_tree(spec, tmp_path)
+        want = [hashlib.sha256(data.features.tobytes()).hexdigest() for data in (
+            load_gsc(tmp_path, seed=2, expected_words=class_words(spec)),
+            load_synthetic(spec, split_seed=2),
+        )]
+        env = dict(os.environ)
+        src = str(Path(dataset.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", _ONE_CPU_SCRIPT, str(tmp_path)],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == want
+
+    @staticmethod
+    def failing_loads(bad_rate_at=(), loader_fails_at=None, slow_at=None):
+        """A manifest of 24 synthetic records and a loader over it that gives
+        record i in bad_rate_at a clip at 8000 + i Hz (which the frontend
+        rejects naming its rate) and raises UnsupportedFormatError at
+        loader_fails_at; the frontend takes 0.3 s longer on slow_at."""
+        spec = SyntheticSpec(num_classes=3, examples_per_class=8, seed=1)
+        waveforms, manifest = synthesize_dataset(spec)
+        ids = [r.record_id for r in manifest.records]
+        slow = None
+
+        def loader(record_id):
+            nonlocal slow
+            i = ids.index(record_id)
+            if i == loader_fails_at:
+                raise UnsupportedFormatError(f"record {i} unreadable")
+            clip = waveforms[record_id]
+            if i in bad_rate_at:
+                clip = Waveform(clip.samples, sample_rate=8000 + i)
+            if i == slow_at:
+                slow = clip
+            return clip
+
+        def frontend(clip, cfg):
+            if clip is slow:
+                time.sleep(0.3)
+            return mfcc(clip, cfg)
+        return manifest, loader, frontend
+
+    @pytest.mark.parametrize("i, j", [(1, 2), (3, 4), (0, 13), (7, 23), (16, 17)])
+    def test_frontend_error_before_a_loader_error_wins(self, monkeypatch, i, j):
+        manifest, loader, frontend = self.failing_loads(bad_rate_at={i}, loader_fails_at=j,
+                                                        slow_at=i)
+        monkeypatch.setattr(dataset, "mfcc", frontend)
+        with pytest.raises(InvalidInputError, match=f"rate {8000 + i} Hz"):
+            featurize(manifest, loader)
+
+    @pytest.mark.parametrize("i, k", [(2, 9), (5, 6), (4, 20)])
+    def test_earliest_frontend_error_wins_over_one_that_ends_first(self, monkeypatch, i, k):
+        manifest, loader, frontend = self.failing_loads(bad_rate_at={i, k}, slow_at=i)
+        monkeypatch.setattr(dataset, "mfcc", frontend)
+        with pytest.raises(InvalidInputError, match=f"rate {8000 + i} Hz"):
+            featurize(manifest, loader)
+
+    @pytest.mark.parametrize("j, i", [(3, 4), (9, 14)])
+    def test_loader_error_before_a_frontend_error_wins(self, j, i):
+        manifest, loader, _ = self.failing_loads(bad_rate_at={i}, loader_fails_at=j)
+        with pytest.raises(UnsupportedFormatError, match=f"record {j} unreadable"):
+            featurize(manifest, loader)
+
+    def test_no_pool_thread_outlives_featurize(self):
+        before = set(threading.enumerate())
+        manifest, loader, _ = self.failing_loads()
+        featurize(manifest, loader)
+        assert not set(threading.enumerate()) - before
+        manifest, loader, _ = self.failing_loads(bad_rate_at={2}, loader_fails_at=9)
+        with pytest.raises(InvalidInputError):
+            featurize(manifest, loader)
+        assert not set(threading.enumerate()) - before
+
+    def test_loader_runs_on_the_calling_thread_in_manifest_order(self):
+        spec = SyntheticSpec(num_classes=3, examples_per_class=6, seed=0)
+        waveforms, manifest = synthesize_dataset(spec)
+        manifest = deterministic_split(manifest, 0.8, seed=0)
+        calls = []
+
+        def loader(record_id):
+            calls.append((threading.get_ident(), record_id))
+            return waveforms[record_id]
+        featurize(manifest, loader)
+        assert calls == [(threading.get_ident(), r.record_id) for r in manifest.records]

@@ -5,7 +5,7 @@ import pytest
 
 import dekws.autodiff as ad
 from dekws.errors import InvalidInputError, InvalidShapeError
-from dekws.model import TcResNet8, TcResNet8Config
+from dekws.model import TcResNet8, TcResNet8Config, state_shapes
 
 # Reconstructed budget for 30 classes: stem 1,968 + blocks (9,240 + 17,184 +
 # 36,528) + head 1,470 = 66,390, within 5% of the reported 64.48K.
@@ -157,6 +157,15 @@ class TestStateArrays:
         assert list(model.state_arrays()) == params + stats
         assert [p.name for p in model.parameters] == params
         assert [bn.name for bn in model.batchnorms] == bns
+
+    @pytest.mark.parametrize("cfg", [
+        TcResNet8Config(),
+        TcResNet8Config(input_channels=7, channels=(3, 5, 6, 9), num_classes=4,
+                        kernel_first=5, kernel_block=3),
+    ])
+    def test_state_shapes_are_the_built_model_shapes(self, cfg):
+        built = [(name, arr.shape) for name, arr in TcResNet8(cfg, seed=0).state_arrays().items()]
+        assert list(state_shapes(cfg).items()) == built
 
     def test_wrong_shape_rejected_before_anything_is_written(self):
         model = TcResNet8(TcResNet8Config(num_classes=12), seed=0)
