@@ -1,13 +1,19 @@
 """Minimal reverse-mode autodiff: exactly the ops the backbone and losses need.
 
-A Tensor wraps a numpy array and, when gradients are enabled, a backward
-closure plus references to its parent tensors. Calling .backward() on a
-scalar walks the graph in reverse topological order and accumulates .grad
+A Tensor wraps a numpy array. A leaf (a parameter or an input) is its own
+graph node. An op result built while gradients are enabled keeps its values
+and points to a small graph node: the gradient arriving at it, its dtype,
+its parents (nodes, or leaf tensors) and the backward closure. A graph thus
+holds nodes plus the arrays its closures saved (padded conv inputs,
+normalized activations, masks, a linear input), never a result's values:
+those live exactly as long as the caller holds the result tensor, so a
+conv output read only by a batch norm, or a batch-norm output read only
+by a ReLU, is freed as soon as the next op returns. Calling .backward() on
+a scalar walks the graph in reverse topological order and accumulates .grad
 on every leaf tensor with requires_grad set. The walk releases the graph as
 it goes: once an interior node's closure has run, the node drops its .grad,
-its parents and the closure, so the arrays the closure saved (padded conv
-inputs, normalized activations, masks) are freed before the walk reaches
-the layers below. Only leaves (parameters, inputs) keep their .grad.
+its parents and the closure, so the arrays the closure saved are freed
+before the walk reaches the layers below. Only leaves keep their .grad.
 Walking a released graph again raises InvalidInputError.
 
 Scope is deliberately narrow: 1-D convolution, batch norm, ReLU, global
@@ -127,7 +133,13 @@ def no_grad():
 
 
 class Tensor:
-    """n-dimensional float array, optionally part of a gradient graph."""
+    """n-dimensional float array, optionally part of a gradient graph.
+
+    A Tensor made by the caller is a leaf and its own graph node. An op
+    result in a graph is a _Result, whose grad, requires_grad, _parents and
+    _backward read and write through to its _Node; the graph never refers
+    to the result's values.
+    """
 
     __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward")
 
@@ -189,6 +201,40 @@ class Tensor:
                 node._backward = _released
 
 
+class _Node:
+    """The graph half of an op result: what the backward walk reads and
+    writes. It holds none of the result's values."""
+
+    __slots__ = ("grad", "requires_grad", "dtype", "_parents", "_backward")
+
+    def __init__(self, dtype, parents: tuple, backward_fn):
+        self.grad: np.ndarray | None = None
+        self.requires_grad = True
+        self.dtype = dtype
+        self._parents = parents
+        self._backward = backward_fn
+
+
+def _through_node(field: str) -> property:
+    return property(lambda t: getattr(t.node, field),
+                    lambda t, value: setattr(t.node, field, value))
+
+
+class _Result(Tensor):
+    """An op result in a graph: its values here, its graph fields in node."""
+
+    __slots__ = ("node",)
+    grad = _through_node("grad")
+    requires_grad = _through_node("requires_grad")
+    _parents = _through_node("_parents")
+    _backward = _through_node("_backward")
+
+    def __init__(self, data: np.ndarray, node: _Node):
+        self.data = data
+        self.name = ""
+        self.node = node
+
+
 def _released(g):
     raise InvalidInputError(
         "backward() reached a graph that an earlier backward() already released"
@@ -196,9 +242,9 @@ def _released(g):
 
 
 def _topological_order(root: Tensor) -> list:
-    order: list[Tensor] = []
+    order: list = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, int]] = [(root, 0)]
+    stack: list[tuple] = [(root, 0)]
     while stack:
         node, idx = stack.pop()
         if idx == 0:
@@ -213,25 +259,33 @@ def _topological_order(root: Tensor) -> list:
     return order
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def _ref(t: Tensor):
+    """What a graph keeps of an op input: its node if it is an op result in
+    a graph, the tensor itself if it is a leaf taking a gradient, else None."""
     if not t.requires_grad:
+        return None
+    return t.node if isinstance(t, _Result) else t
+
+
+def _accumulate(ref, g: np.ndarray) -> None:
+    """Add g into the .grad of a node or leaf from _ref; None takes none."""
+    if ref is None:
         return
-    if g.dtype != t.data.dtype:
-        g = g.astype(t.data.dtype)
-    t.grad = g if t.grad is None else t.grad + g
+    if g.dtype != ref.dtype:
+        g = g.astype(ref.dtype)
+    ref.grad = g if ref.grad is None else ref.grad + g
 
 
-def _node(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
-    """A result tensor; while gradients are enabled it records backward_fn
-    and those of parents that require a gradient, so a graph does not hold
-    an input it sends no gradient to."""
-    out = Tensor(data)
-    parents = tuple(p for p in parents if p.requires_grad)
+def _node(data: np.ndarray, refs: tuple, backward_fn) -> Tensor:
+    """An op result; while gradients are enabled and some input takes a
+    gradient, a _Result whose node records backward_fn and the inputs' refs
+    (those not None), so a graph does not hold an input it sends no
+    gradient to."""
+    parents = tuple(r for r in refs if r is not None)
     if grad_enabled() and parents:
-        out.requires_grad = True
-        out._parents = parents
-        out._backward = backward_fn
-    return out
+        data = np.asarray(data)  # a 0-d op can return a numpy scalar
+        return _Result(data, _Node(data.dtype, parents, backward_fn))
+    return Tensor(data)
 
 
 def zero_grads(params) -> None:
@@ -248,11 +302,13 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise InvalidShapeError(f"add shape mismatch: {a.shape} vs {b.shape}")
 
-    def backward(g):
-        _accumulate(a, g)
-        _accumulate(b, g)
+    a_ref, b_ref = _ref(a), _ref(b)
 
-    return _node(a.data + b.data, (a, b), backward)
+    def backward(g):
+        _accumulate(a_ref, g)
+        _accumulate(b_ref, g)
+
+    return _node(a.data + b.data, (a_ref, b_ref), backward)
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -260,41 +316,45 @@ def mul(a: Tensor, b) -> Tensor:
     if not isinstance(b, Tensor):
         const = float(b)
         out_data = a.data * np.asarray(const, dtype=a.data.dtype)
+        a_ref = _ref(a)
 
         def backward_const(g):
-            _accumulate(a, g * np.asarray(const, dtype=g.dtype))
+            _accumulate(a_ref, g * np.asarray(const, dtype=g.dtype))
 
-        return _node(out_data, (a,), backward_const)
+        return _node(out_data, (a_ref,), backward_const)
 
     if a.shape != b.shape:
         raise InvalidShapeError(f"mul shape mismatch: {a.shape} vs {b.shape}")
     a_data, b_data = a.data, b.data
+    a_ref, b_ref = _ref(a), _ref(b)
 
     def backward(g):
-        _accumulate(a, g * b_data)
-        _accumulate(b, g * a_data)
+        _accumulate(a_ref, g * b_data)
+        _accumulate(b_ref, g * a_data)
 
-    return _node(a_data * b_data, (a, b), backward)
+    return _node(a_data * b_data, (a_ref, b_ref), backward)
 
 
 def tsum(x: Tensor) -> Tensor:
     """Sum of all elements, as a float64 scalar."""
     out_data = np.asarray(x.data.sum(dtype=np.float64))
+    shape, dtype, x_ref = x.shape, x.dtype, _ref(x)
 
     def backward(g):
-        _accumulate(x, np.full(x.shape, float(g), dtype=x.data.dtype))
+        _accumulate(x_ref, np.full(shape, float(g), dtype=dtype))
 
-    return _node(out_data, (x,), backward)
+    return _node(out_data, (x_ref,), backward)
 
 
 def relu(x: Tensor) -> Tensor:
     """Elementwise max(0, x); subgradient 0 at exactly 0. NaN propagates."""
     mask = x.data > 0
+    x_ref = _ref(x)
 
     def backward(g):
-        _accumulate(x, g * mask)
+        _accumulate(x_ref, g * mask)
 
-    return _node(np.maximum(x.data, x.data.dtype.type(0)), (x,), backward)
+    return _node(np.maximum(x.data, x.data.dtype.type(0)), (x_ref,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -366,22 +426,20 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
         np.matmul(w2, chunk_cols[:m].reshape(m, c_in * k, l_out),
                   out=out_c[:, start : start + m].transpose(1, 0, 2))
     out_c += bd[:, None, None]
-    # The closure holds x only if x takes a gradient, so the model's input
-    # batch is freed while the rest of the pass runs.
-    x_kept = x if x.requires_grad else None
+    x_ref, w_ref, b_ref = _ref(x), _ref(weight), _ref(bias)
 
     def backward(g):
         g2 = g.transpose(1, 0, 2).reshape(c_out, n * l_out)
         cols2 = np.ascontiguousarray(
             _windows(xp, k, l_out, stride).transpose(1, 2, 0, 3)
         ).reshape(c_in * k, n * l_out)
-        _accumulate(bias, g2.sum(axis=1))
+        _accumulate(b_ref, g2.sum(axis=1))
         if k == 1:  # the shortcut convs; see "Training kernels" above
-            _accumulate(weight, (g2 @ cols2.T).reshape(wd.shape))
+            _accumulate(w_ref, (g2 @ cols2.T).reshape(wd.shape))
         else:
-            _accumulate(weight, (cols2 @ g2.T).T.reshape(wd.shape))
+            _accumulate(w_ref, (cols2 @ g2.T).T.reshape(wd.shape))
         del cols2  # col2im does not read the columns
-        if x_kept is not None:
+        if x_ref is not None:
             # Position-major col2im over (l, n)-ordered columns.
             g_ln = g.transpose(1, 2, 0).reshape(c_out, l_out * n)
             grad_cols = (w2.T @ g_ln).reshape(c_in, k, l_out, n)
@@ -391,9 +449,9 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
             grad_x = np.ascontiguousarray(
                 grad_xp[:, padding : padding + length].transpose(0, 2, 1)
             )
-            _accumulate(x_kept, grad_x.transpose(1, 0, 2))
+            _accumulate(x_ref, grad_x.transpose(1, 0, 2))
 
-    return _node(out_c.transpose(1, 0, 2), (x, weight, bias), backward)
+    return _node(out_c.transpose(1, 0, 2), (x_ref, w_ref, b_ref), backward)
 
 
 def batchnorm1d(
@@ -454,13 +512,14 @@ def batchnorm1d(
     xhat *= inv_std[:, None]
     out = xhat * gamma.data[:, None]
     out += beta.data[:, None]
+    x_ref, gamma_ref, beta_ref = _ref(x), _ref(gamma), _ref(beta)
 
     def backward(g):
         g2 = g.transpose(1, 0, 2).reshape(c, count)
-        _accumulate(beta, g2.sum(axis=1))
+        _accumulate(beta_ref, g2.sum(axis=1))
         scratch = g2 * xhat
-        _accumulate(gamma, scratch.sum(axis=1))
-        if not x.requires_grad:
+        _accumulate(gamma_ref, scratch.sum(axis=1))
+        if x_ref is None:
             return
         if training:
             # dx = inv_std * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)),
@@ -476,9 +535,10 @@ def batchnorm1d(
             dx *= inv_std[:, None]
         else:
             dx = g2 * (gamma.data * inv_std)[:, None]
-        _accumulate(x, dx.reshape(c, n, length).transpose(1, 0, 2))
+        _accumulate(x_ref, dx.reshape(c, n, length).transpose(1, 0, 2))
 
-    return _node(out.reshape(c, n, length).transpose(1, 0, 2), (x, gamma, beta), backward)
+    return _node(out.reshape(c, n, length).transpose(1, 0, 2),
+                 (x_ref, gamma_ref, beta_ref), backward)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
@@ -489,12 +549,13 @@ def global_avg_pool(x: Tensor) -> Tensor:
     length = xd.shape[2]
     if length == 0:
         raise InvalidShapeError("global_avg_pool needs L >= 1")
+    x_ref = _ref(x)
 
     def backward(g):
         grad_c = np.repeat((g.T / length)[:, :, None], length, axis=2)
-        _accumulate(x, grad_c.transpose(1, 0, 2))
+        _accumulate(x_ref, grad_c.transpose(1, 0, 2))
 
-    return _node(xd.mean(axis=2), (x,), backward)
+    return _node(xd.mean(axis=2), (x_ref,), backward)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -511,13 +572,14 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         )
     if bd.shape != (wd.shape[0],):
         raise InvalidShapeError(f"bias must be ({wd.shape[0]},), got {bias.shape}")
+    x_ref, w_ref, b_ref = _ref(x), _ref(weight), _ref(bias)
 
     def backward(g):
-        _accumulate(bias, g.sum(axis=0))
-        _accumulate(weight, g.T @ xd)
-        _accumulate(x, g @ wd)
+        _accumulate(b_ref, g.sum(axis=0))
+        _accumulate(w_ref, g.T @ xd)
+        _accumulate(x_ref, g @ wd)
 
-    return _node(np.einsum("nd,md->nm", xd, wd) + bd, (x, weight, bias), backward)
+    return _node(np.einsum("nd,md->nm", xd, wd) + bd, (x_ref, w_ref, b_ref), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -546,13 +608,14 @@ def cross_entropy_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
     total = exp_z.sum(axis=1, keepdims=True)
     log_probs = z_shift - np.log(total)
     loss = -log_probs[np.arange(n), labels].mean()
+    logits_ref = _ref(logits)
 
     def backward(g):
         grad = exp_z / total
         grad[np.arange(n), labels] -= 1.0
-        _accumulate(logits, grad * (float(g) / n))
+        _accumulate(logits_ref, grad * (float(g) / n))
 
-    return _node(np.asarray(loss), (logits,), backward)
+    return _node(np.asarray(loss), (logits_ref,), backward)
 
 
 def mse_logit_loss(stored: Tensor, current: Tensor) -> Tensor:
@@ -564,13 +627,14 @@ def mse_logit_loss(stored: Tensor, current: Tensor) -> Tensor:
     diff = current.data.astype(np.float64) - stored.data.astype(np.float64)
     loss = np.asarray((diff * diff).mean())
     scale = 2.0 / diff.size
+    stored_ref, current_ref = _ref(stored), _ref(current)
 
     def backward(g):
         d = diff * (scale * float(g))
-        _accumulate(current, d)
-        _accumulate(stored, -d)
+        _accumulate(current_ref, d)
+        _accumulate(stored_ref, -d)
 
-    return _node(loss, (stored, current), backward)
+    return _node(loss, (stored_ref, current_ref), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -247,6 +247,16 @@ def gradcheck_suite() -> dict:
         [xb, gamma, beta],
     )
 
+    pair_rng = np.random.default_rng(19)  # leaves rng's later draws as they were
+    xa = ad.Tensor(pair_rng.standard_normal((2, 3, 5)), requires_grad=True, name="a")
+    ya = ad.Tensor(pair_rng.standard_normal((2, 3, 5)), requires_grad=True, name="b")
+    reports["add"] = ad.grad_check(
+        lambda: _projection_loss(ad.add(xa, ya), np.random.default_rng(20)), [xa, ya]
+    )
+    reports["mul"] = ad.grad_check(
+        lambda: _projection_loss(ad.mul(xa, ya), np.random.default_rng(21)), [xa, ya]
+    )
+
     raw = rng.standard_normal((4, 6))
     xr = ad.Tensor(np.sign(raw) * (np.abs(raw) + 0.01), requires_grad=True, name="x")
     reports["relu"] = ad.grad_check(

@@ -524,6 +524,24 @@ class TestCmdGradcheck:
         assert "gradient check failed for:" in out
         assert "conv1d" in out.split("gradient check failed for:")[1]
 
+    @pytest.mark.parametrize("op", ["add", "mul"])
+    def test_corrupted_two_tensor_backward_is_caught_and_named(self, op, capsys, monkeypatch):
+        real_op = getattr(dekws.autodiff, op)
+
+        def corrupted(a, b):
+            out = real_op(a, b)
+            # Only calls whose second input takes a gradient: the projection
+            # each check ends in multiplies by coefficients that take none.
+            if out._backward is not None and getattr(b, "requires_grad", False):
+                inner = out._backward
+                out._backward = lambda g: inner(g * 1.01)
+            return out
+
+        monkeypatch.setattr(dekws.autodiff, op, corrupted)
+        assert main(["gradcheck"]) == 1
+        failed = capsys.readouterr().out.split("gradient check failed for:")[1]
+        assert op in failed.strip().split(", ")
+
     def test_repeat_runs_report_identical_errors(self, capsys):
         from dekws.cli import gradcheck_suite
 

@@ -405,8 +405,9 @@ class TestStreamedSynthesis:
 
     def test_load_holds_the_features_and_one_block_of_clips(self):
         # 120 clips of 62.5 KiB float32 samples (7.3 MiB), 3.6 MiB of
-        # features; the bound leaves 2 MiB for one 32-clip synthesis block
-        # and 2 MiB for one clip's frontend temporaries.
+        # features; the bound leaves room for one 16-clip synthesis block
+        # (1 MiB) and the temporaries of two frontends running at once
+        # (about 1 MiB each).
         spec = SyntheticSpec(num_classes=4, examples_per_class=30, seed=3)
         load_synthetic(spec)  # warm the filterbank and window caches
         tracemalloc.start()
