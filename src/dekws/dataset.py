@@ -447,7 +447,9 @@ def featurize(manifest: Manifest, loader, dtype=np.float64) -> FeaturizedDataset
         raise InvalidDatasetError(f"class ids must run from 0 with no gaps, got {sorted(names)}")
     n = len(manifest)
     features = np.empty((n, MFCC_CONFIG.n_frames, MFCC_CONFIG.n_mfcc), dtype)
-    workers = min(2, len(os.sched_getaffinity(0)))
+    # sched_getaffinity exists only on some platforms (Linux among them).
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(2, cpus or 1)
     pending = deque()  # the futures of the blocks handed out, in manifest order
     with ThreadPoolExecutor(workers) as pool:
         try:

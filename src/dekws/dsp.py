@@ -3,9 +3,15 @@
 Pipeline: pad_or_trim -> stft_power -> log_mel_energies -> orthonormal DCT-II
 along the mel axis. Under the default config a one-second clip yields a
 98 x 40 matrix. All stages are pure functions of their arguments, and the
-window and filterbank they share are cached read-only, so featurization is
-deterministic and thread-safe: dataset.featurize runs mfcc on two threads
-at once.
+window, filterbank and DCT plan they share are cached read-only, so
+featurization is deterministic and thread-safe: dataset.featurize runs mfcc
+on two threads at once.
+
+The DCT-II is pocketfft's algorithm run in numpy: a butterfly, a real
+backward FFT through numpy.fft.irfft (the same pocketfft transform since
+numpy 2.0) and pocketfft's twiddle pass with pocketfft's own twiddle table.
+It rounds as the C++ does, so its coefficients are bit-identical to
+scipy.fft.dct(x, type=2, norm="ortho"), and the package needs only numpy.
 
 Conventions fixed here (they vary between toolkits):
   * mel(f) = 2595 * log10(1 + f / 700)  (HTK scale)
@@ -18,10 +24,10 @@ Conventions fixed here (they vary between toolkits):
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .errors import InvalidInputError, InvalidShapeError
 
@@ -205,5 +211,111 @@ def mfcc(w: Waveform, cfg: MfccConfig = MfccConfig()) -> FeatureMatrix:
     padded = pad_or_trim(w, cfg.target_length)
     spec = stft_power(padded, cfg)
     logmels = log_mel_energies(spec, cfg)
-    coeffs = scipy.fft.dct(logmels, type=2, norm="ortho", axis=1)
+    coeffs = _dct2_ortho(logmels)
     return FeatureMatrix(coeffs[:, : cfg.n_mfcc])
+
+
+# pi as the long double literal pocketfft builds its twiddle angles from.
+_PI = np.longdouble("3.141592653589793238462643383279502884197")
+
+
+def _pocketfft_cosines(n: int, count: int) -> list[float]:
+    """cos(2*pi*i/n) for i = 1..count, bit for bit as the real parts of
+    pocketfft's sincos_2pibyn(n) table (count <= n/2).
+
+    pocketfft takes libm's cos and sin of multiples of an eighth-turn
+    fraction, folded into the first octant, then multiplies an entry of a
+    fine table by one of a coarse table; plain cos(2*pi*i/n) differs from
+    it in the last bit for some i.
+    """
+    ang = float(np.longdouble(0.25) * _PI / n)
+
+    def calc(m):
+        x, sign = 8 * m, 1.0
+        if x >= 4 * n:
+            x, sign = 8 * n - x, -1.0
+        if x < 2 * n:
+            if x < n:
+                return math.cos(x * ang), sign * math.sin(x * ang)
+            return math.sin((2 * n - x) * ang), sign * math.cos((2 * n - x) * ang)
+        x -= 2 * n
+        if x < n:
+            return -math.sin(x * ang), sign * math.cos(x * ang)
+        return -math.cos((2 * n - x) * ang), sign * math.sin((2 * n - x) * ang)
+
+    half = (n + 2) // 2
+    shift = 1
+    while 4**shift < half:
+        shift += 1
+    mask = (1 << shift) - 1
+    fine = [(1.0, 0.0)] + [calc(j) for j in range(1, mask + 1)]
+    coarse = [(1.0, 0.0)] + [calc(j << shift) for j in range(1, (half + mask) >> shift)]
+    out = []
+    for i in range(1, count + 1):
+        (ar, ai), (br, bi) = fine[i & mask], coarse[i >> shift]
+        out.append(ar * br - ai * bi)
+    return out
+
+
+@functools.lru_cache(maxsize=8)
+def _dct2_plan(rows: int, n: int):
+    """pocketfft's DCT-II plan for rows of length n: the FFT scale
+    1/sqrt(2n), rounded from long double as pocketfft does; a (2, m, rows)
+    array holding tw[k-1] and tw[n-k-1] for the pairs k = 1..m, m = (n-1)//2,
+    each repeated along the rows so a twiddle product is one whole-array
+    multiply; and, for even n, the middle twiddle tw[n/2-1].
+
+    Built once per shape and shared by every caller, so it is read-only.
+    """
+    tw = np.array(_pocketfft_cosines(4 * n, n - 1))
+    k = np.arange(1, (n + 1) // 2)
+    pair_twiddles = np.repeat(np.stack([tw[k - 1], tw[n - k - 1]])[:, :, None], rows, axis=2)
+    pair_twiddles.flags.writeable = False
+    scale = float(np.longdouble(1) / np.sqrt(np.longdouble(2 * n)))
+    middle = float(tw[n // 2 - 1]) if n % 2 == 0 else None
+    return scale, pair_twiddles, middle
+
+
+def _dct2_ortho(x: np.ndarray) -> np.ndarray:
+    """Orthonormal DCT-II along axis 1 of a float64 (rows, n) array,
+    bit-identical to scipy.fft.dct(x, type=2, norm="ortho", axis=1).
+
+    Each step is a step of pocketfft's T_dcst23 type-2 pass, run on every
+    row at once, with every product and sum rounded once as in the C++.
+    """
+    rows, n = x.shape
+    scale, pair_twiddles, middle = _dct2_plan(rows, n)
+    # The butterfly: c0 = 2*x0, c(n-1) = 2*x(n-1) for even n, and for odd k
+    # (c(k), c(k+1)) = (x(k) + x(k+1), x(k+1) - x(k)). Written as the bins
+    # c0, c1 + i*c2, c3 + i*c4, ..., (c(n-1)) of pocketfft's halfcomplex
+    # row, the pairs are (1 - i) * (x(k) + i*x(k+1)), whose products by
+    # +-1 are exact.
+    pairs = (n - 1) // 2
+    spectrum = np.empty((rows, n // 2 + 1), np.complex128)
+    if n % 2 == 0:
+        np.multiply(x[:, :: n - 1], 2.0, out=spectrum[:, :: n // 2])  # columns 0 and n-1
+    else:
+        np.multiply(x[:, 0], 2.0, out=spectrum[:, 0])
+    odd_even = x[:, 1 : 1 + 2 * pairs].view(np.complex128)  # x(k) + i*x(k+1), odd k
+    np.multiply(odd_even, 1 - 1j, out=spectrum[:, 1 : 1 + pairs])
+    # The real backward FFT, written transposed so the pass below works on
+    # contiguous rows.
+    y = np.empty((n, rows))
+    np.fft.irfft(spectrum, n, axis=1, norm="forward", out=y.T)
+    y *= scale
+    # pocketfft's pass over the pairs (k, n-k), 1 <= k <= m:
+    #   t1 = tw[k-1]*y[n-k] + tw[n-k-1]*y[k],  t2 = tw[k-1]*y[k] - tw[n-k-1]*y[n-k],
+    #   y[k] = 0.5*(t1 + t2),  y[n-k] = 0.5*(t1 - t2),
+    # then y[n/2] *= tw[n/2-1] for even n, and y[0] *= sqrt(2)/2.
+    low, high = y[1 : pairs + 1], y[n - 1 : n - 1 - pairs : -1]  # rows k and n-k
+    at_low, at_high = pair_twiddles * low, pair_twiddles * high
+    t1 = np.add(at_high[0], at_low[1], out=at_high[0])
+    t2 = np.subtract(at_low[0], at_high[1], out=at_low[0])
+    np.add(t1, t2, out=low)
+    np.subtract(t1, t2, out=high)
+    low *= 0.5
+    y[n - pairs :] *= 0.5  # high, in ascending order
+    if middle is not None:
+        y[n // 2] *= middle
+    y[0] *= math.sqrt(2.0) * 0.5
+    return y.T

@@ -548,3 +548,74 @@ class TestCmdGradcheck:
         first = {k: v.max_rel_err for k, v in gradcheck_suite().items()}
         second = {k: v.max_rel_err for k, v in gradcheck_suite().items()}
         assert first == second
+
+
+_IMPORT_EVERY_MODULE = """
+import importlib, pkgutil, sys
+import dekws
+for module in pkgutil.iter_modules(dekws.__path__):
+    importlib.import_module("dekws." + module.name)
+"""
+
+_LOADED_SCIPY = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+# A finder ahead of every other that refuses scipy and its submodules.
+_BLOCK_SCIPY = """
+import importlib.abc, sys
+
+class BlockScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"{name} is blocked", name=name)
+        return None
+
+sys.meta_path.insert(0, BlockScipy())
+try:
+    import scipy
+except ModuleNotFoundError:
+    print("scipy blocked")
+"""
+
+_SYNTH_RUN_EVAL = """
+from dekws.cli import main
+config, work = sys.argv[1], sys.argv[2]
+codes = [
+    main(["synth", "--config", config, "--out", work + "/tree"]),
+    main(["run", "--config", config, "--out", work + "/run"]),
+    main(["eval", "--checkpoint", work + "/run/checkpoint.dkws", "--config", config,
+          "--out", work + "/eval"]),
+]
+print("exit codes", codes, "scipy modules", %s)
+""" % _LOADED_SCIPY
+
+
+def _child(script, *args):
+    """Run script in a fresh interpreter that imports dekws from this tree."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    src = str(Path(dekws.cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+class TestNumpyOnlyRuntime:
+    """dekws needs numpy alone: scipy is only the tests' reference."""
+
+    def test_importing_every_module_loads_no_scipy(self):
+        out = _child(_IMPORT_EVERY_MODULE + f"print({_LOADED_SCIPY})")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
+
+    def test_synth_run_eval_complete_with_scipy_blocked(self, tmp_path):
+        config = tmp_path / "exp.cfg"
+        config.write_text(TINY_RUN_CONFIG)
+        out = _child(_BLOCK_SCIPY + _IMPORT_EVERY_MODULE + _SYNTH_RUN_EVAL,
+                     str(config), str(tmp_path))
+        assert out.returncode == 0, out.stderr
+        lines = out.stdout.splitlines()
+        assert lines[0] == "scipy blocked"
+        assert lines[-1] == "exit codes [0, 0, 0] scipy modules []"
+        assert len(list((tmp_path / "tree").rglob("*.wav"))) == 40
+        run_row = (tmp_path / "run" / "matrix.csv").read_text().splitlines()[-1]
+        eval_row = (tmp_path / "eval" / "eval_matrix.csv").read_text().splitlines()[-1]
+        assert eval_row.split(",")[1:] == run_row.split(",")[1:]

@@ -472,6 +472,17 @@ class TestFrontendThreads:
         assert out.returncode == 0, out.stderr
         assert out.stdout.split() == want
 
+    @pytest.mark.parametrize("cpu_count", [4, None])
+    def test_platform_without_sched_getaffinity_gives_the_same_bytes(
+            self, monkeypatch, cpu_count):
+        # os.sched_getaffinity is missing off Linux; the pool is then sized
+        # from os.cpu_count(), which may not know the count either.
+        spec = SyntheticSpec(num_classes=3, examples_per_class=7, seed=4)
+        want = load_synthetic(spec, split_seed=2).features.tobytes()
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        assert load_synthetic(spec, split_seed=2).features.tobytes() == want
+
     @staticmethod
     def failing_loads(bad_rate_at=(), loader_fails_at=None, slow_at=None):
         """A manifest of 24 synthetic records and a loader over it that gives

@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dekws.dataset import SyntheticSpec, synthesize_dataset
 from dekws.dsp import (
     LOG_FLOOR_EPSILON,
     MfccConfig,
     Waveform,
+    _dct2_ortho,
+    _dct2_plan,
     hann_window,
     hz_to_mel,
     log_mel_energies,
@@ -237,8 +241,6 @@ class TestMfcc:
         )
 
     def test_inverse_dct_recovers_log_mels(self):
-        import scipy.fft
-
         cfg = MfccConfig()
         rng = np.random.default_rng(13)
         wave = Waveform(rng.uniform(-0.9, 0.9, 16000).astype(np.float32))
@@ -261,3 +263,59 @@ class TestMfcc:
             MfccConfig(frame_length=600, fft_size=512)
         with pytest.raises(InvalidInputError):
             MfccConfig(fmin=9000.0)
+
+
+def scipy_dct2_ortho(x):
+    """The reference: scipy's pocketfft DCT-II."""
+    return scipy.fft.dct(x, type=2, norm="ortho", axis=-1)
+
+
+def bits(x):
+    return np.ascontiguousarray(x).view(np.int64)
+
+
+class TestDct:
+    """The numpy DCT-II reproduces scipy.fft.dct bit for bit."""
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-3, 1.0, 1e3, 1e300])
+    def test_equals_scipy_for_every_length_up_to_129(self, scale):
+        rng = np.random.default_rng(23)
+        for n in range(1, 130):
+            x = rng.standard_normal((64, n)) * scale
+            x[0] = 0.0
+            x[1] = scale  # a constant row
+            np.testing.assert_array_equal(bits(_dct2_ortho(x)), bits(scipy_dct2_ortho(x)),
+                                          err_msg=f"n={n}")
+
+    def test_overflowing_middle_coefficient_equals_scipy(self):
+        # At this size pocketfft's middle coefficient of an even length
+        # overflows to inf while every other coefficient stays finite.
+        n = 4
+        x = 5e307 * np.sqrt(2 / n) * np.cos(np.pi * (np.arange(n) + 0.5) / 2)[None, :]
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = scipy_dct2_ortho(x)
+            got = _dct2_ortho(x)
+        assert np.isposinf(want[0, 2]) and np.isfinite(want[0, [0, 1, 3]]).all()
+        np.testing.assert_array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("spec", [
+        SyntheticSpec(num_classes=12, examples_per_class=3, noise_amplitude=0.5, seed=0,
+                      frequencies=tuple((400.0 + 55.0 * c, 2200.0 + 90.0 * c)
+                                        for c in range(12))),
+        SyntheticSpec(num_classes=30, examples_per_class=1, noise_amplitude=0.5, seed=7),
+        SyntheticSpec(num_classes=30, examples_per_class=1, noise_amplitude=0.0, seed=7),
+    ], ids=["desk", "30_class", "30_class_noise_free"])
+    def test_mfcc_of_synthetic_clips_equals_scipy_dct_of_their_log_mels(self, spec):
+        cfg = MfccConfig()
+        waves, _ = synthesize_dataset(spec)
+        for wave in waves.values():
+            logmels = log_mel_energies(stft_power(pad_or_trim(wave, 16000), cfg), cfg)
+            assert mfcc(wave, cfg).values.tobytes() == scipy_dct2_ortho(logmels).tobytes()
+
+    def test_plan_cached_per_shape_and_read_only(self):
+        scale, twiddles, middle = _dct2_plan(98, 40)
+        assert scale == float(1 / np.sqrt(np.longdouble(80)))
+        assert twiddles.shape == (2, 19, 98) and 0 < middle < 1
+        assert _dct2_plan(98, 40)[1] is twiddles
+        with pytest.raises(ValueError):
+            twiddles[0, 0, 0] = 0.0
