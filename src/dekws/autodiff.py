@@ -56,27 +56,8 @@ g2 @ cols2.T: at 2 BLAS threads the tall product differs in the last bits
 for block 1's shortcut at N = 144 and 200. Train-mode batch norm takes its
 float64 mean and variance from one float64 copy of the rows, subtracting
 and squaring in place.
-
-Allocation: a training step allocates and frees tens of megabytes of
-activations, columns and gradients in arrays of up to a few megabytes
-each. glibc's malloc serves a block from fresh mmap pages, one page fault
-per page, when it exceeds an adaptive threshold, and returns the top of
-the heap to the system when more than twice that threshold is free there;
-the threshold starts at 128 KiB and rises to the size of each mmapped
-block freed. Which arrays fault then depends on the order of earlier
-frees, so identical runs took several times more faults, and more time,
-than others. Importing this module pins the mmap threshold at 16 MiB and
-the trim threshold at 64 MiB, in every run: a step's arrays come from the
-heap, and the heap keeps a step's worth of freed pages for the next step.
-Blocks above 16 MiB, such as a whole dataset's features, still get their
-own mapping and give it back when freed, so they do not fragment the
-heap. A MALLOC_MMAP_THRESHOLD_ or MALLOC_TRIM_THRESHOLD_ set in the
-environment is left in force.
 """
 
-import ctypes
-import os
-import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -86,38 +67,7 @@ from .errors import InvalidInputError, InvalidShapeError, TrainingFaultError
 
 _FLOAT_DTYPES = (np.float32, np.float64)
 
-# mallopt parameter numbers from glibc's malloc.h.
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-_MMAP_THRESHOLD = 16 * 1024 * 1024
-_TRIM_THRESHOLD = 64 * 1024 * 1024
-_MALLOC_ENV = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_")
-
-
-def _pin_malloc_thresholds() -> bool:
-    """Fix glibc's mmap and trim thresholds (see the module docstring).
-
-    Returns whether they were set: False off Linux, without glibc's
-    mallopt, or when the environment already sets either threshold.
-    """
-    if not sys.platform.startswith("linux") or any(v in os.environ for v in _MALLOC_ENV):
-        return False
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return False
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    return (mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) == 1
-            and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD) == 1)
-
-
-MALLOC_PINNED = _pin_malloc_thresholds()
-
 _grad_enabled = True
-
-
-def grad_enabled() -> bool:
-    return _grad_enabled
 
 
 @contextmanager
@@ -282,7 +232,7 @@ def _node(data: np.ndarray, refs: tuple, backward_fn) -> Tensor:
     (those not None), so a graph does not hold an input it sends no
     gradient to."""
     parents = tuple(r for r in refs if r is not None)
-    if grad_enabled() and parents:
+    if _grad_enabled and parents:
         data = np.asarray(data)  # a 0-d op can return a numpy scalar
         return _Result(data, _Node(data.dtype, parents, backward_fn))
     return Tensor(data)

@@ -217,14 +217,15 @@ def build_task_schedule(num_classes: int, layout: str, seed: int = 0,
     if layout in NAMED_LAYOUTS:
         first, per_task = NAMED_LAYOUTS[layout]
     elif layout == "custom":
-        if not first or not per_task:
+        if first is None or per_task is None or min(first, per_task) < 1:
             raise InvalidScheduleError(
-                "custom layout needs positive first and per_task sizes"
+                f"custom layout needs positive first and per_task sizes "
+                f"(first={first}, per_task={per_task})"
             )
     else:
         raise InvalidScheduleError(f"unknown schedule layout {layout!r}")
     remaining = num_classes - first
-    if first < 1 or remaining < 0 or remaining % per_task != 0:
+    if remaining < 0 or remaining % per_task != 0:
         raise InvalidScheduleError(
             f"layout {layout!r} does not partition {num_classes} classes "
             f"(first={first}, per_task={per_task})"

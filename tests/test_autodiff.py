@@ -1,12 +1,7 @@
 """Op-level forward values, hand oracles, and finite-difference checks."""
 
-import os
-import subprocess
-import sys
-import textwrap
 import tracemalloc
 import weakref
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -772,40 +767,6 @@ class TestTrainingKernelsAreByteIdentical:
         assert_same_bytes(rv, want_rv)
         for got, want in zip((x.grad, gm.grad, bt.grad), want_grads):
             assert_same_bytes(got, want)
-
-
-# Three 8 MiB arrays per step: under glibc's adaptive thresholds each step
-# grows the heap by 24 MiB and then trims it, faulting every page again.
-_REUSE_SCRIPT = textwrap.dedent("""
-    import resource
-    import numpy as np
-    import dekws.autodiff as ad
-
-    def step():
-        arrays = [np.ones(1 << 20) for _ in range(3)]
-        del arrays
-
-    step()
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    for _ in range(5):
-        step()
-    print(ad.MALLOC_PINNED, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-""")
-
-
-@pytest.mark.skipif(not ad.MALLOC_PINNED, reason="malloc thresholds not pinned here")
-def test_import_pins_malloc_so_repeated_steps_reuse_heap_pages():
-    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
-    env["PYTHONPATH"] = str(Path(ad.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", _REUSE_SCRIPT], env=env,
-                         capture_output=True, text=True, check=True).stdout.split()
-    assert out[0] == "True"
-    assert int(out[1]) < 100
-
-
-def test_environment_thresholds_are_left_in_force(monkeypatch):
-    monkeypatch.setenv("MALLOC_TRIM_THRESHOLD_", "131072")
-    assert ad._pin_malloc_thresholds() is False
 
 
 # ---------------------------------------------------------------------------

@@ -208,6 +208,14 @@ class TestCmdRun:
         assert key.rsplit(".", 1)[1] in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_negative_per_task_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "neg.cfg"
+        config.write_text(TINY_RUN_CONFIG.replace(
+            "schedule.per_task = 2", "schedule.per_task = -2"))
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "positive first and per_task sizes" in capsys.readouterr().err
+
     def test_more_classes_than_default_tone_pairs_exits_2(self, tmp_path, capsys):
         config = tmp_path / "hundred.cfg"
         config.write_text(TINY_RUN_CONFIG.replace(
@@ -589,9 +597,9 @@ print("exit codes", codes, "scipy modules", %s)
 """ % _LOADED_SCIPY
 
 
-def _child(script, *args):
+def _child(script, *args, **env_vars):
     """Run script in a fresh interpreter that imports dekws from this tree."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", **env_vars)
     src = str(Path(dekws.cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", script, *args], env=env,
@@ -619,3 +627,29 @@ class TestNumpyOnlyRuntime:
         run_row = (tmp_path / "run" / "matrix.csv").read_text().splitlines()[-1]
         eval_row = (tmp_path / "eval" / "eval_matrix.csv").read_text().splitlines()[-1]
         assert eval_row.split(",")[1:] == run_row.split(",")[1:]
+
+
+_RUN = """
+import sys
+from dekws.cli import main
+sys.exit(main(["run", "--config", sys.argv[1], "--out", sys.argv[2]]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="MALLOC_PERTURB_ is a glibc setting")
+def test_run_does_not_depend_on_the_contents_of_fresh_memory(tmp_path):
+    # MALLOC_PERTURB_ makes glibc fill every block malloc hands out with one
+    # byte (0 turns it off), so a read of np.empty contents before they are
+    # written changes the digests or the matrix.
+    config = tmp_path / "exp.cfg"
+    config.write_text(TINY_RUN_CONFIG)
+    runs = []
+    for perturb in ("0", "165"):
+        out = tmp_path / f"perturb{perturb}"
+        child = _child(_RUN, str(config), str(out), MALLOC_PERTURB_=perturb)
+        assert child.returncode == 0, child.stderr
+        report = json.loads((out / "report.json").read_text())
+        runs.append((report["params_sha256"], report["buffer_sha256"],
+                     (out / "matrix.csv").read_bytes()))
+    assert runs[0] == runs[1]

@@ -242,6 +242,11 @@ class TestSchedules:
         with pytest.raises(InvalidScheduleError):
             build_task_schedule(12, "nope", 0)
 
+    @pytest.mark.parametrize("first, per_task", [(3, -3), (3, 0), (0, 3), (-3, 3)])
+    def test_custom_sizes_below_one_rejected(self, first, per_task):
+        with pytest.raises(InvalidScheduleError, match="positive first and per_task"):
+            build_task_schedule(12, "custom", 0, first=first, per_task=per_task)
+
 
 class TestSynthesize:
     def test_count_and_balance(self):
