@@ -4,8 +4,8 @@ A Tensor wraps a numpy array. A leaf (a parameter or an input) is its own
 graph node. An op result built while gradients are enabled keeps its values
 and points to a small graph node: the gradient arriving at it, its dtype,
 its parents (nodes, or leaf tensors) and the backward closure. A graph thus
-holds nodes plus the arrays its closures saved (padded conv inputs,
-normalized activations, masks, a linear input), never a result's values:
+holds nodes plus the arrays its closures saved (conv inputs, normalized
+activations, masks, a linear input), never a result's values:
 those live exactly as long as the caller holds the result tensor, so a
 conv output read only by a batch norm, or a batch-norm output read only
 by a ReLU, is freed as soon as the next op returns. Calling .backward() on
@@ -33,15 +33,16 @@ outputs do not depend on it. The conv1d forward product and linear's einsum
 still run one reduction per example, so eval outputs do not depend on
 batch composition.
 
-Conv1d columns: no whole-batch im2col array exists in the forward pass,
-with or without gradients. The forward gathers each example's
-(C_in*K, L_out) columns contiguously, CONV_CHUNK examples at a time, and
-runs one GEMM per example into the channel-major output. The graph saves
-the padded (C_in, N, L_pad) input, a view of x when padding is 0, and the
-backward rebuilds the (C_in*K, N*L_out) columns once for its GEMMs and
-drops them before col2im. Every per-example GEMM multiplies the same
-matrices as a GEMM over strided whole-batch columns did, only with a
-smaller leading dimension, so outputs and gradients keep their bits.
+Conv1d columns: no pass builds a whole-batch im2col array or padded
+input. The forward zero-pads CONV_CHUNK examples at a time, gathers each
+example's (C_in*K, L_out) columns contiguously, and runs one GEMM per
+example into the channel-major output. The graph saves the (C_in, N, L)
+view of x.data itself, so a block input read by two convs is held once;
+the backward pads the same chunks again to build the (C_in*K, N*L_out)
+columns once for its GEMMs and drops them before col2im. Every
+per-example GEMM multiplies the same matrices as a GEMM over strided
+whole-batch columns did, only with a smaller leading dimension, so
+outputs and gradients keep their bits.
 
 Training kernels: col2im runs position-major for every kernel width: the
 column gradient is taken over (l, n)-ordered columns, each tap adds into a
@@ -55,7 +56,7 @@ C_in*K rows instead of C_out. k = 1 convs (the residual shortcuts) keep
 g2 @ cols2.T: at 2 BLAS threads the tall product differs in the last bits
 for block 1's shortcut at N = 144 and 200. Train-mode batch norm takes its
 float64 mean and variance from one float64 copy of the rows, subtracting
-and squaring in place.
+and squaring in place, and frees it before normalizing.
 """
 
 from contextlib import contextmanager
@@ -327,11 +328,26 @@ def _windows(xp: np.ndarray, k: int, l_out: int, stride: int) -> np.ndarray:
     )
 
 
+def _padded_chunks(xc: np.ndarray, padding: int):
+    """(start, chunk) pairs over a channel-major (C_in, N, L) input, CONV_CHUNK
+    examples a chunk, zero-padded into one reused buffer (a view if padding is 0)."""
+    c_in, n, length = xc.shape
+    if padding:
+        xp = np.zeros((c_in, min(n, CONV_CHUNK), length + 2 * padding), dtype=xc.dtype)
+    for start in range(0, n, CONV_CHUNK):
+        part = xc[:, start : start + CONV_CHUNK]
+        if padding:
+            xp[:, : part.shape[1], padding : padding + length] = part
+            part = xp[:, : part.shape[1]]
+        yield start, part
+
+
 def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """1-D cross-correlation along the last axis.
 
     x is (N, C_in, L); weight is (C_out, C_in, K); bias is (C_out,). Output
-    length is floor((L + 2*padding - K)/stride) + 1.
+    length is floor((L + 2*padding - K)/stride) + 1. The graph keeps x.data
+    itself, so it must not be changed in place before the backward pass.
     """
     if stride < 1:
         raise InvalidInputError(f"stride must be >= 1, got {stride}")
@@ -359,20 +375,14 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     l_out = (l_pad - k) // stride + 1
 
     xc = xd.transpose(1, 0, 2)
-    if padding:
-        xp = np.zeros((c_in, n, l_pad), dtype=xd.dtype)
-        xp[:, :, padding : padding + length] = xc
-    else:
-        xp = xc
     w2 = wd.reshape(c_out, c_in * k)
     out_c = np.empty((c_out, n, l_out), dtype=np.result_type(wd, xd))
     # One GEMM per example keeps each output's reduction order independent
     # of the batch it sits in; the columns exist one chunk at a time.
-    chunk = min(n, CONV_CHUNK)
-    chunk_cols = np.empty((chunk, c_in, k, l_out), dtype=xd.dtype)
-    for start in range(0, n, chunk):
-        m = min(chunk, n - start)
-        np.copyto(chunk_cols[:m], _windows(xp[:, start : start + m], k, l_out, stride))
+    chunk_cols = np.empty((min(n, CONV_CHUNK), c_in, k, l_out), dtype=xd.dtype)
+    for start, xp in _padded_chunks(xc, padding):
+        m = xp.shape[1]
+        np.copyto(chunk_cols[:m], _windows(xp, k, l_out, stride))
         np.matmul(w2, chunk_cols[:m].reshape(m, c_in * k, l_out),
                   out=out_c[:, start : start + m].transpose(1, 0, 2))
     out_c += bd[:, None, None]
@@ -380,22 +390,26 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
 
     def backward(g):
         g2 = g.transpose(1, 0, 2).reshape(c_out, n * l_out)
-        cols2 = np.ascontiguousarray(
-            _windows(xp, k, l_out, stride).transpose(1, 2, 0, 3)
-        ).reshape(c_in * k, n * l_out)
+        cols = np.empty((c_in, k, n, l_out), dtype=xd.dtype)
+        for start, xp in _padded_chunks(xc, padding):
+            np.copyto(cols[:, :, start : start + xp.shape[1]],
+                      _windows(xp, k, l_out, stride).transpose(1, 2, 0, 3))
+        cols2 = cols.reshape(c_in * k, n * l_out)
         _accumulate(b_ref, g2.sum(axis=1))
         if k == 1:  # the shortcut convs; see "Training kernels" above
             _accumulate(w_ref, (g2 @ cols2.T).reshape(wd.shape))
         else:
             _accumulate(w_ref, (cols2 @ g2.T).T.reshape(wd.shape))
-        del cols2  # col2im does not read the columns
+        del cols, cols2  # col2im does not read the columns
         if x_ref is not None:
             # Position-major col2im over (l, n)-ordered columns.
             g_ln = g.transpose(1, 2, 0).reshape(c_out, l_out * n)
             grad_cols = (w2.T @ g_ln).reshape(c_in, k, l_out, n)
+            del g_ln
             grad_xp = np.zeros((c_in, l_pad, n), dtype=grad_cols.dtype)
             for j in range(k):
                 grad_xp[:, j : j + stride * l_out : stride] += grad_cols[:, j]
+            del grad_cols
             grad_x = np.ascontiguousarray(
                 grad_xp[:, padding : padding + length].transpose(0, 2, 1)
             )
@@ -452,6 +466,7 @@ def batchnorm1d(
         sq_dev -= mean[:, None]
         np.square(sq_dev, out=sq_dev)
         var = sq_dev.mean(axis=1)
+        del sq_dev
         running_mean[:] = (1.0 - momentum) * running_mean + momentum * mean
         running_var[:] = (1.0 - momentum) * running_var + momentum * var
     else:

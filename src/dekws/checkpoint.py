@@ -88,17 +88,31 @@ def save_checkpoint(path, model: TcResNet8, experiment_config: dict | None = Non
 
 def load_checkpoint(path) -> LoadedCheckpoint:
     try:
-        raw = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            header, arrays = _read_arrays(path, fh)
     except OSError as exc:
         raise CheckpointError(f"{path}: cannot read ({exc})") from exc
-    if len(raw) < 16 or raw[:4] != MAGIC:
+    try:
+        model, buf = _restore(header, arrays)
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError, MemoryError) as exc:
+        raise CheckpointError(f"{path}: header does not fit its arrays ({exc})") from exc
+    return LoadedCheckpoint(model, header.get("experiment_config", {}), buf)
+
+
+def _read_arrays(path, fh) -> tuple[dict, dict]:
+    """Header and arrays of the checkpoint file open as fh; each array is
+    read straight into its own array once its size fits the bytes left."""
+    size = os.fstat(fh.fileno()).st_size
+    prefix = fh.read(16)
+    if len(prefix) < 16 or prefix[:4] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (magic)")
-    (version,) = struct.unpack_from("<I", raw, 4)
+    version, header_len = struct.unpack_from("<IQ", prefix, 4)
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    (header_len,) = struct.unpack_from("<Q", raw, 8)
+    if header_len > size - 16:
+        raise CheckpointError(f"{path}: header length {header_len} exceeds the file")
     try:
-        header = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
+        header = json.loads(fh.read(header_len).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt header ({exc})") from exc
 
@@ -123,27 +137,20 @@ def load_checkpoint(path) -> LoadedCheckpoint:
             raise CheckpointError(f"{path}: array {name!r} has unsupported dtype {dtype}")
         if any(d < 0 for d in shape):
             raise CheckpointError(f"{path}: array {name!r} has negative shape {shape}")
-        n_elem = math.prod(shape)
-        nbytes = dtype.itemsize * n_elem
-        if offset + nbytes > len(raw):
+        nbytes = dtype.itemsize * math.prod(shape)
+        if offset + nbytes > size:
             raise CheckpointError(f"{path}: truncated array payload ({name})")
-        if n_elem:
-            arr = np.frombuffer(raw, dtype=dtype.newbyteorder("<"), count=n_elem, offset=offset)
-            arr = arr.reshape(shape).astype(dtype)
-        else:
-            arr = np.empty(shape, dtype=dtype)
-        arrays[name] = arr
+        try:
+            arr = np.empty(shape, dtype=dtype.newbyteorder("<"))
+        except ValueError as exc:  # more dimensions, or a dimension larger, than numpy takes
+            raise CheckpointError(f"{path}: malformed array record {meta!r}") from exc
+        if fh.readinto(arr.reshape(-1).view(np.uint8)) != nbytes:
+            raise CheckpointError(f"{path}: truncated array payload ({name})")
+        arrays[name] = arr.astype(dtype, copy=False)
         offset += nbytes
-    if offset != len(raw):
-        raise CheckpointError(
-            f"{path}: {len(raw) - offset} bytes follow the last declared array"
-        )
-
-    try:
-        model, buf = _restore(header, arrays)
-    except (KeyError, IndexError, TypeError, ValueError, OverflowError, MemoryError) as exc:
-        raise CheckpointError(f"{path}: header does not fit its arrays ({exc})") from exc
-    return LoadedCheckpoint(model, header.get("experiment_config", {}), buf)
+    if offset != size:
+        raise CheckpointError(f"{path}: {size - offset} bytes follow the last declared array")
+    return header, arrays
 
 
 def _restore(header: dict, arrays: dict) -> tuple[TcResNet8, ReservoirBuffer | None]:

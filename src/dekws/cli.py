@@ -25,6 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from .config import ExperimentConfig, read_experiment_config
 from .dataset import (
+    GSC_V1_WORDS,
     FeaturizedDataset,
     build_task_schedule,
     load_gsc,
@@ -55,7 +56,9 @@ def _load_dataset(cfg: ExperimentConfig, dtype=None) -> FeaturizedDataset:
                     dtype=dtype)
 
 
-def _build_schedule(cfg: ExperimentConfig, num_classes: int):
+def _build_schedule(cfg: ExperimentConfig):
+    """The task schedule over the configured class count, known before any data loads."""
+    num_classes = cfg.synthetic.num_classes if cfg.synthetic else len(GSC_V1_WORDS)
     return build_task_schedule(
         num_classes, cfg.schedule_layout, seed=cfg.seed,
         first=cfg.schedule_first, per_task=cfg.schedule_per_task,
@@ -134,11 +137,11 @@ def cmd_run(config_path: str, seed: int | None = None, out: str | None = None) -
     cfg = read_experiment_config(config_path, seed_override=seed, out_override=out)
     if cfg.out_dir is None:
         raise DekwsError("no output directory: set out_dir in the config or pass --out")
+    schedule = _build_schedule(cfg)
     out_dir = _writable_dir(cfg.out_dir)
 
     started = time.monotonic()
     data = _load_dataset(cfg)
-    schedule = _build_schedule(cfg, data.num_classes)
     result = run_schedule(schedule, data, cfg.train)
 
     report = dict(result.report)
@@ -164,6 +167,7 @@ def cmd_run(config_path: str, seed: int | None = None, out: str | None = None) -
 
 def cmd_eval(checkpoint_path: str, config_path: str, out: str | None = None) -> int:
     cfg = read_experiment_config(config_path, out_override=out)
+    schedule = _build_schedule(cfg)
     out_dir = None if cfg.out_dir is None else _writable_dir(cfg.out_dir)
     loaded = load_checkpoint(checkpoint_path)
     data = _load_dataset(cfg, loaded.model.dtype)
@@ -172,7 +176,6 @@ def cmd_eval(checkpoint_path: str, config_path: str, out: str | None = None) -> 
             f"{checkpoint_path}: model has {loaded.model.cfg.num_classes} classes, "
             f"dataset has {data.num_classes}"
         )
-    schedule = _build_schedule(cfg, data.num_classes)
     matrix = AccuracyMatrix(len(schedule))
     row = evaluate_tasks(loaded.model, schedule, data)
     matrix.add_row(row)

@@ -820,8 +820,8 @@ def test_no_grad_model_forward_matches_previous_conv1d(monkeypatch, training, n,
 
 
 # ---------------------------------------------------------------------------
-# conv1d memory: the forward builds its columns a chunk of examples at a
-# time and the graph keeps the padded input, not the columns
+# conv1d memory: the forward pads and builds its columns a chunk of examples
+# at a time, and the graph keeps the input itself, not a padded copy
 
 
 MiB = 1 << 20
@@ -850,9 +850,9 @@ def test_float32_training_graph_at_batch_128_stays_under_32_mib():
     assert all(p.grad is not None for p in net.parameters)
 
 
-def test_float32_training_graph_holds_no_result_values():
-    # It holds 12.9 MiB and peaks at 16.4 MiB. A graph that kept the conv
-    # and batch-norm outputs no closure reads would hold 24.9 and peak at 27.2.
+def float32_training_graph_held_and_peak():
+    """(bytes a float32 30-class graph at batch 128 holds, peak bytes of its
+    forward and backward pass), by tracemalloc."""
     net = TcResNet8(TcResNet8Config(num_classes=30), seed=0, dtype=np.float32)
     features = np.random.default_rng(27).standard_normal((128, 98, 40)).astype(np.float32)
     labels = np.arange(128) % 30
@@ -864,8 +864,60 @@ def test_float32_training_graph_holds_no_result_values():
         return held
 
     held, _, peak = traced(step)
+    return held, peak
+
+
+def test_float32_training_graph_holds_no_result_values():
+    # It holds 8.5 MiB and peaks at 12.0 MiB. A graph that kept the conv
+    # and batch-norm outputs no closure reads would hold 24.9 and peak at 27.2
+    # (measured while convs still saved padded copies of their inputs).
+    held, peak = float32_training_graph_held_and_peak()
     assert held <= 16 * MiB, held / MiB
     assert peak <= 20 * MiB, peak / MiB
+
+
+def test_float32_training_graph_holds_each_conv_input_once():
+    # 8.5 MiB held and a 12.0 MiB peak; with a padded copy of every padded
+    # conv input in the graph it held 12.9 MiB and peaked at 16.4 MiB.
+    held, peak = float32_training_graph_held_and_peak()
+    assert held <= 10 * MiB, held / MiB
+    assert peak <= 14 * MiB, peak / MiB
+
+
+def test_padded_conv1d_graph_holds_no_copy_of_its_input():
+    # A (24, 128, 57) float32 padded copy of this input would take 700 KiB.
+    rng = np.random.default_rng(28)
+    x = ad.Tensor(channel_major(rng.standard_normal((128, 24, 49)).astype(np.float32)),
+                  requires_grad=True)
+    w = ad.Tensor(rng.standard_normal((32, 24, 9)).astype(np.float32), requires_grad=True)
+    b = ad.Tensor(np.zeros(32, dtype=np.float32), requires_grad=True)
+    out, held, _ = traced(lambda: ad.conv1d(x, w, b, stride=2, padding=4))
+    assert out._backward is not None
+    assert held - out.data.nbytes < 64 << 10, (held - out.data.nbytes) / 1024
+
+
+@pytest.mark.parametrize("block", [0, 1, 2])
+def test_block_graph_holds_its_input_once(block):
+    # conv1 and the shortcut conv both read the block input; the graph may
+    # hold its bytes once, plus the three batch norms' normalized rows,
+    # conv2's input, both ReLU masks and the output. Saving conv1's padded
+    # copy as well would add 1.1 times the input.
+    net = TcResNet8(TcResNet8Config(num_classes=30), seed=0, dtype=np.float32)
+    c_in, c_out = net.cfg.channels[block : block + 2]
+    length = (98, 49, 25)[block]
+    rng = np.random.default_rng(29)
+    act = 128 * c_out * ((length - 1) // 2 + 1)
+
+    def block_graph():
+        x = ad.Tensor(channel_major(
+            rng.standard_normal((128, c_in, length)).astype(np.float32)), requires_grad=True)
+        return x, net.blocks[block](x, training=True)
+
+    (x, out), held, _ = traced(block_graph)
+    expected = x.data.nbytes + 5 * act * 4 + 2 * act
+    assert held <= expected + (64 << 10), (held - expected) / 1024
+    ad.tsum(out).backward()
+    assert x.grad is not None
 
 
 def test_float64_no_grad_forward_over_500_rows_peaks_under_55_mib():

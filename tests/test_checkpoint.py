@@ -152,6 +152,33 @@ class TestCorruption:
         with pytest.raises(CheckpointError, match=after_path(path, "truncated")):
             load_checkpoint(path)
 
+    def test_header_longer_than_the_file_rejected_without_reading_it(self, tmp_path):
+        path = tmp_path / "model.dkws"
+        save_checkpoint(path, trained_model())
+        raw = path.read_bytes()
+        path.write_bytes(raw[:8] + struct.pack("<Q", 1 << 62) + raw[16:])
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match=after_path(path, "header length")):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak / (1 << 20)
+
+    def test_empty_array_too_large_for_numpy_rejected(self, tmp_path):
+        # Zero elements pass the size check, but numpy cannot shape them.
+        path = tmp_path / "model.dkws"
+        save_checkpoint(path, trained_model())
+
+        def oversized_empty(header):
+            header["arrays"][0]["shape"] = [0, 1 << 62]
+            return header
+
+        rewrite_header(path, oversized_empty)
+        with pytest.raises(CheckpointError, match=after_path(path, "malformed array record")):
+            load_checkpoint(path)
+
     def test_list_header_rejected(self, tmp_path):
         path = tmp_path / "model.dkws"
         save_checkpoint(path, trained_model())
@@ -298,6 +325,30 @@ class TestCorruption:
             "input_channels": 40, "channels": [16, 24, 32, 48], "num_classes": 6,
             "kernel_first": 3, "kernel_block": 9, "dtype": "float64",
         }
+
+
+class TestLoadMemory:
+    def test_load_peak_is_at_most_twice_the_file_size(self, tmp_path):
+        # Each array is read into its own array and the buffer rows are
+        # copied into the restored buffer once. Reading the whole file into
+        # one bytes object and copying each array out of it peaked at 3 times
+        # the file size.
+        buf = ReservoirBuffer(capacity=200, num_classes=30, seed=2)
+        rng = np.random.default_rng(6)
+        for i in range(200):
+            buf.insert(BufferEntry(rng.standard_normal((98, 40)), i % 30,
+                                   rng.standard_normal(30)))
+        path = tmp_path / "full.dkws"
+        save_checkpoint(path, trained_model(num_classes=30), buffer=buf)
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(loaded.buffer) == 200
+        assert peak <= 2 * size + (1 << 20), peak / size
 
 
 class TestAtomicSave:

@@ -216,6 +216,23 @@ class TestCmdRun:
         assert code == 2
         assert "positive first and per_task sizes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "eval"])
+    def test_schedule_that_does_not_partition_exits_2_before_any_work(
+            self, tmp_path, capsys, monkeypatch, command):
+        def no_work(*args):
+            raise AssertionError("work started before the schedule was checked")
+
+        for name in ("_load_dataset", "load_checkpoint"):
+            monkeypatch.setattr(dekws.cli, name, no_work)
+        config = tmp_path / "five.cfg"
+        config.write_text(TINY_RUN_CONFIG.replace(
+            "schedule.per_task = 2", "schedule.per_task = 5"))
+        extra = ["--checkpoint", str(tmp_path / "none.dkws")] if command == "eval" else []
+        code = main([command, "--config", str(config), "--out", str(tmp_path / "o"), *extra])
+        assert code == 2
+        assert "does not partition 4 classes" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_more_classes_than_default_tone_pairs_exits_2(self, tmp_path, capsys):
         config = tmp_path / "hundred.cfg"
         config.write_text(TINY_RUN_CONFIG.replace(
@@ -233,7 +250,7 @@ class TestCmdRun:
 
         def nan_task_rows(cfg):
             data = load(cfg)
-            task = dekws.cli._build_schedule(cfg, data.num_classes)[1]
+            task = dekws.cli._build_schedule(cfg)[1]
             data.features[data.labels == task.class_ids[0]] = np.nan
             return data
 
