@@ -1,19 +1,20 @@
 """Minimal reverse-mode autodiff: exactly the ops the backbone and losses need.
 
-A Tensor wraps a numpy array. A leaf (a parameter or an input) is its own
-graph node. An op result built while gradients are enabled keeps its values
-and points to a small graph node: the gradient arriving at it, its dtype,
-its parents (nodes, or leaf tensors) and the backward closure. A graph thus
-holds nodes plus the arrays its closures saved (conv inputs, normalized
-activations, masks, a linear input), never a result's values:
+A Tensor wraps a numpy array. A tensor that takes a gradient owns a small
+graph node: the gradient arriving at it, its dtype, its parent nodes and
+its backward closure. A leaf made with requires_grad (a parameter or an
+input) has a node with no parents and no closure; an op result built while
+gradients are enabled has one whose parents are its inputs' nodes. A graph
+thus holds nodes plus the arrays its closures saved (conv inputs,
+normalized activations, masks, a linear input), never a result's values:
 those live exactly as long as the caller holds the result tensor, so a
 conv output read only by a batch norm, or a batch-norm output read only
 by a ReLU, is freed as soon as the next op returns. Calling .backward() on
-a scalar walks the graph in reverse topological order and accumulates .grad
-on every leaf tensor with requires_grad set. The walk releases the graph as
-it goes: once an interior node's closure has run, the node drops its .grad,
-its parents and the closure, so the arrays the closure saved are freed
-before the walk reaches the layers below. Only leaves keep their .grad.
+a scalar walks the graph in reverse topological order and accumulates the
+gradient of every leaf node. The walk releases the graph as it goes: once
+an interior node's closure has run, the node drops its gradient, its
+parents and the closure, so the arrays the closure saved are freed before
+the walk reaches the layers below. Only leaves keep their gradient.
 Walking a released graph again raises InvalidInputError.
 
 Scope is deliberately narrow: 1-D convolution, batch norm, ReLU, global
@@ -84,26 +85,34 @@ def no_grad():
 
 
 class Tensor:
-    """n-dimensional float array, optionally part of a gradient graph.
+    """n-dimensional float array; node is its graph node if it takes a
+    gradient, else None."""
 
-    A Tensor made by the caller is a leaf and its own graph node. An op
-    result in a graph is a _Result, whose grad, requires_grad, _parents and
-    _backward read and write through to its _Node; the graph never refers
-    to the result's values.
-    """
+    __slots__ = ("data", "name", "node")
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward")
-
-    def __init__(self, data, requires_grad: bool = False, dtype=None, name: str = ""):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False, name: str = ""):
+        arr = np.asarray(data)
         if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float64)
         self.data = arr
-        self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad
         self.name = name
-        self._parents: tuple = ()
-        self._backward = None
+        self.node = _Node(arr.dtype, (), None) if requires_grad else None
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.node is not None
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self.node is None else self.node.grad
+
+    @property
+    def _backward(self):
+        return None if self.node is None else self.node.backward
+
+    @_backward.setter
+    def _backward(self, fn) -> None:
+        self.node.backward = fn
 
     @property
     def shape(self):
@@ -133,7 +142,7 @@ class Tensor:
         return mul(self, other)
 
     def backward(self):
-        """Backpropagate from a scalar, accumulating into leaf .grad fields.
+        """Backpropagate from a scalar, accumulating into the leaves' grads.
 
         Releases the graph while walking it (see the module docstring).
         """
@@ -141,49 +150,30 @@ class Tensor:
             raise InvalidShapeError(
                 f"backward() needs a scalar root, got shape {self.shape}"
             )
-        order = _topological_order(self)
-        self.grad = np.ones_like(self.data)
+        if self.node is None:
+            raise InvalidInputError("backward() needs a tensor that takes a gradient")
+        order = _topological_order(self.node)
+        self.node.grad = np.ones_like(self.data)
         while order:
             node = order.pop()
-            if node._backward is not None:
-                node._backward(node.grad)
+            if node.backward is not None:
+                node.backward(node.grad)
                 node.grad = None
-                node._parents = ()
-                node._backward = _released
+                node.parents = ()
+                node.backward = _released
 
 
 class _Node:
-    """The graph half of an op result: what the backward walk reads and
-    writes. It holds none of the result's values."""
+    """The graph half of a tensor that takes a gradient: what the backward
+    walk reads and writes. It holds none of the tensor's values."""
 
-    __slots__ = ("grad", "requires_grad", "dtype", "_parents", "_backward")
+    __slots__ = ("grad", "dtype", "parents", "backward")
 
     def __init__(self, dtype, parents: tuple, backward_fn):
         self.grad: np.ndarray | None = None
-        self.requires_grad = True
         self.dtype = dtype
-        self._parents = parents
-        self._backward = backward_fn
-
-
-def _through_node(field: str) -> property:
-    return property(lambda t: getattr(t.node, field),
-                    lambda t, value: setattr(t.node, field, value))
-
-
-class _Result(Tensor):
-    """An op result in a graph: its values here, its graph fields in node."""
-
-    __slots__ = ("node",)
-    grad = _through_node("grad")
-    requires_grad = _through_node("requires_grad")
-    _parents = _through_node("_parents")
-    _backward = _through_node("_backward")
-
-    def __init__(self, data: np.ndarray, node: _Node):
-        self.data = data
-        self.name = ""
-        self.node = node
+        self.parents = parents
+        self.backward = backward_fn
 
 
 def _released(g):
@@ -192,7 +182,7 @@ def _released(g):
     )
 
 
-def _topological_order(root: Tensor) -> list:
+def _topological_order(root: _Node) -> list:
     order: list = []
     seen: set[int] = set()
     stack: list[tuple] = [(root, 0)]
@@ -202,46 +192,37 @@ def _topological_order(root: Tensor) -> list:
             if id(node) in seen:
                 continue
             seen.add(id(node))
-        if idx < len(node._parents):
+        if idx < len(node.parents):
             stack.append((node, idx + 1))
-            stack.append((node._parents[idx], 0))
+            stack.append((node.parents[idx], 0))
         else:
             order.append(node)
     return order
 
 
-def _ref(t: Tensor):
-    """What a graph keeps of an op input: its node if it is an op result in
-    a graph, the tensor itself if it is a leaf taking a gradient, else None."""
-    if not t.requires_grad:
-        return None
-    return t.node if isinstance(t, _Result) else t
-
-
-def _accumulate(ref, g: np.ndarray) -> None:
-    """Add g into the .grad of a node or leaf from _ref; None takes none."""
-    if ref is None:
+def _accumulate(node: _Node | None, g: np.ndarray) -> None:
+    """Add g into a node's gradient; None takes none."""
+    if node is None:
         return
-    if g.dtype != ref.dtype:
-        g = g.astype(ref.dtype)
-    ref.grad = g if ref.grad is None else ref.grad + g
+    if g.dtype != node.dtype:
+        g = g.astype(node.dtype)
+    node.grad = g if node.grad is None else node.grad + g
 
 
-def _node(data: np.ndarray, refs: tuple, backward_fn) -> Tensor:
+def _node(data: np.ndarray, inputs: tuple, backward_fn) -> Tensor:
     """An op result; while gradients are enabled and some input takes a
-    gradient, a _Result whose node records backward_fn and the inputs' refs
-    (those not None), so a graph does not hold an input it sends no
-    gradient to."""
-    parents = tuple(r for r in refs if r is not None)
+    gradient, its node records backward_fn and the inputs' nodes (those
+    not None), so a graph does not hold an input it sends no gradient to."""
+    out = Tensor(data)
+    parents = tuple(n for n in inputs if n is not None)
     if _grad_enabled and parents:
-        data = np.asarray(data)  # a 0-d op can return a numpy scalar
-        return _Result(data, _Node(data.dtype, parents, backward_fn))
-    return Tensor(data)
+        out.node = _Node(out.data.dtype, parents, backward_fn)
+    return out
 
 
 def zero_grads(params) -> None:
     for p in params:
-        p.grad = None
+        p.node.grad = None
 
 
 # ---------------------------------------------------------------------------
@@ -253,13 +234,13 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise InvalidShapeError(f"add shape mismatch: {a.shape} vs {b.shape}")
 
-    a_ref, b_ref = _ref(a), _ref(b)
+    a_node, b_node = a.node, b.node
 
     def backward(g):
-        _accumulate(a_ref, g)
-        _accumulate(b_ref, g)
+        _accumulate(a_node, g)
+        _accumulate(b_node, g)
 
-    return _node(a.data + b.data, (a_ref, b_ref), backward)
+    return _node(a.data + b.data, (a_node, b_node), backward)
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -267,45 +248,45 @@ def mul(a: Tensor, b) -> Tensor:
     if not isinstance(b, Tensor):
         const = float(b)
         out_data = a.data * np.asarray(const, dtype=a.data.dtype)
-        a_ref = _ref(a)
+        a_node = a.node
 
         def backward_const(g):
-            _accumulate(a_ref, g * np.asarray(const, dtype=g.dtype))
+            _accumulate(a_node, g * np.asarray(const, dtype=g.dtype))
 
-        return _node(out_data, (a_ref,), backward_const)
+        return _node(out_data, (a_node,), backward_const)
 
     if a.shape != b.shape:
         raise InvalidShapeError(f"mul shape mismatch: {a.shape} vs {b.shape}")
     a_data, b_data = a.data, b.data
-    a_ref, b_ref = _ref(a), _ref(b)
+    a_node, b_node = a.node, b.node
 
     def backward(g):
-        _accumulate(a_ref, g * b_data)
-        _accumulate(b_ref, g * a_data)
+        _accumulate(a_node, g * b_data)
+        _accumulate(b_node, g * a_data)
 
-    return _node(a_data * b_data, (a_ref, b_ref), backward)
+    return _node(a_data * b_data, (a_node, b_node), backward)
 
 
 def tsum(x: Tensor) -> Tensor:
     """Sum of all elements, as a float64 scalar."""
     out_data = np.asarray(x.data.sum(dtype=np.float64))
-    shape, dtype, x_ref = x.shape, x.dtype, _ref(x)
+    shape, dtype, x_node = x.shape, x.dtype, x.node
 
     def backward(g):
-        _accumulate(x_ref, np.full(shape, float(g), dtype=dtype))
+        _accumulate(x_node, np.full(shape, float(g), dtype=dtype))
 
-    return _node(out_data, (x_ref,), backward)
+    return _node(out_data, (x_node,), backward)
 
 
 def relu(x: Tensor) -> Tensor:
     """Elementwise max(0, x); subgradient 0 at exactly 0. NaN propagates."""
     mask = x.data > 0
-    x_ref = _ref(x)
+    x_node = x.node
 
     def backward(g):
-        _accumulate(x_ref, g * mask)
+        _accumulate(x_node, g * mask)
 
-    return _node(np.maximum(x.data, x.data.dtype.type(0)), (x_ref,), backward)
+    return _node(np.maximum(x.data, x.data.dtype.type(0)), (x_node,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +367,7 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
         np.matmul(w2, chunk_cols[:m].reshape(m, c_in * k, l_out),
                   out=out_c[:, start : start + m].transpose(1, 0, 2))
     out_c += bd[:, None, None]
-    x_ref, w_ref, b_ref = _ref(x), _ref(weight), _ref(bias)
+    x_node, w_node, b_node = x.node, weight.node, bias.node
 
     def backward(g):
         g2 = g.transpose(1, 0, 2).reshape(c_out, n * l_out)
@@ -395,13 +376,13 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
             np.copyto(cols[:, :, start : start + xp.shape[1]],
                       _windows(xp, k, l_out, stride).transpose(1, 2, 0, 3))
         cols2 = cols.reshape(c_in * k, n * l_out)
-        _accumulate(b_ref, g2.sum(axis=1))
+        _accumulate(b_node, g2.sum(axis=1))
         if k == 1:  # the shortcut convs; see "Training kernels" above
-            _accumulate(w_ref, (g2 @ cols2.T).reshape(wd.shape))
+            _accumulate(w_node, (g2 @ cols2.T).reshape(wd.shape))
         else:
-            _accumulate(w_ref, (cols2 @ g2.T).T.reshape(wd.shape))
+            _accumulate(w_node, (cols2 @ g2.T).T.reshape(wd.shape))
         del cols, cols2  # col2im does not read the columns
-        if x_ref is not None:
+        if x_node is not None:
             # Position-major col2im over (l, n)-ordered columns.
             g_ln = g.transpose(1, 2, 0).reshape(c_out, l_out * n)
             grad_cols = (w2.T @ g_ln).reshape(c_in, k, l_out, n)
@@ -413,9 +394,9 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
             grad_x = np.ascontiguousarray(
                 grad_xp[:, padding : padding + length].transpose(0, 2, 1)
             )
-            _accumulate(x_ref, grad_x.transpose(1, 0, 2))
+            _accumulate(x_node, grad_x.transpose(1, 0, 2))
 
-    return _node(out_c.transpose(1, 0, 2), (x_ref, w_ref, b_ref), backward)
+    return _node(out_c.transpose(1, 0, 2), (x_node, w_node, b_node), backward)
 
 
 def batchnorm1d(
@@ -477,14 +458,14 @@ def batchnorm1d(
     xhat *= inv_std[:, None]
     out = xhat * gamma.data[:, None]
     out += beta.data[:, None]
-    x_ref, gamma_ref, beta_ref = _ref(x), _ref(gamma), _ref(beta)
+    x_node, gamma_node, beta_node = x.node, gamma.node, beta.node
 
     def backward(g):
         g2 = g.transpose(1, 0, 2).reshape(c, count)
-        _accumulate(beta_ref, g2.sum(axis=1))
+        _accumulate(beta_node, g2.sum(axis=1))
         scratch = g2 * xhat
-        _accumulate(gamma_ref, scratch.sum(axis=1))
-        if x_ref is None:
+        _accumulate(gamma_node, scratch.sum(axis=1))
+        if x_node is None:
             return
         if training:
             # dx = inv_std * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)),
@@ -500,10 +481,10 @@ def batchnorm1d(
             dx *= inv_std[:, None]
         else:
             dx = g2 * (gamma.data * inv_std)[:, None]
-        _accumulate(x_ref, dx.reshape(c, n, length).transpose(1, 0, 2))
+        _accumulate(x_node, dx.reshape(c, n, length).transpose(1, 0, 2))
 
     return _node(out.reshape(c, n, length).transpose(1, 0, 2),
-                 (x_ref, gamma_ref, beta_ref), backward)
+                 (x_node, gamma_node, beta_node), backward)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
@@ -514,13 +495,13 @@ def global_avg_pool(x: Tensor) -> Tensor:
     length = xd.shape[2]
     if length == 0:
         raise InvalidShapeError("global_avg_pool needs L >= 1")
-    x_ref = _ref(x)
+    x_node = x.node
 
     def backward(g):
         grad_c = np.repeat((g.T / length)[:, :, None], length, axis=2)
-        _accumulate(x_ref, grad_c.transpose(1, 0, 2))
+        _accumulate(x_node, grad_c.transpose(1, 0, 2))
 
-    return _node(xd.mean(axis=2), (x_ref,), backward)
+    return _node(xd.mean(axis=2), (x_node,), backward)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -537,14 +518,14 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         )
     if bd.shape != (wd.shape[0],):
         raise InvalidShapeError(f"bias must be ({wd.shape[0]},), got {bias.shape}")
-    x_ref, w_ref, b_ref = _ref(x), _ref(weight), _ref(bias)
+    x_node, w_node, b_node = x.node, weight.node, bias.node
 
     def backward(g):
-        _accumulate(b_ref, g.sum(axis=0))
-        _accumulate(w_ref, g.T @ xd)
-        _accumulate(x_ref, g @ wd)
+        _accumulate(b_node, g.sum(axis=0))
+        _accumulate(w_node, g.T @ xd)
+        _accumulate(x_node, g @ wd)
 
-    return _node(np.einsum("nd,md->nm", xd, wd) + bd, (x_ref, w_ref, b_ref), backward)
+    return _node(np.einsum("nd,md->nm", xd, wd) + bd, (x_node, w_node, b_node), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -573,14 +554,14 @@ def cross_entropy_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
     total = exp_z.sum(axis=1, keepdims=True)
     log_probs = z_shift - np.log(total)
     loss = -log_probs[np.arange(n), labels].mean()
-    logits_ref = _ref(logits)
+    logits_node = logits.node
 
     def backward(g):
         grad = exp_z / total
         grad[np.arange(n), labels] -= 1.0
-        _accumulate(logits_ref, grad * (float(g) / n))
+        _accumulate(logits_node, grad * (float(g) / n))
 
-    return _node(np.asarray(loss), (logits_ref,), backward)
+    return _node(np.asarray(loss), (logits_node,), backward)
 
 
 def mse_logit_loss(stored: Tensor, current: Tensor) -> Tensor:
@@ -592,14 +573,14 @@ def mse_logit_loss(stored: Tensor, current: Tensor) -> Tensor:
     diff = current.data.astype(np.float64) - stored.data.astype(np.float64)
     loss = np.asarray((diff * diff).mean())
     scale = 2.0 / diff.size
-    stored_ref, current_ref = _ref(stored), _ref(current)
+    stored_node, current_node = stored.node, current.node
 
     def backward(g):
         d = diff * (scale * float(g))
-        _accumulate(current_ref, d)
-        _accumulate(stored_ref, -d)
+        _accumulate(current_node, d)
+        _accumulate(stored_node, -d)
 
-    return _node(loss, (stored_ref, current_ref), backward)
+    return _node(loss, (stored_node, current_node), backward)
 
 
 # ---------------------------------------------------------------------------

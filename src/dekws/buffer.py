@@ -43,10 +43,8 @@ class ReservoirBuffer:
     """
 
     def __init__(self, capacity: int, num_classes: int, seed: int = 0):
-        if capacity < 0:
-            raise InvalidInputError(f"capacity must be >= 0, got {capacity}")
-        if num_classes < 1:
-            raise InvalidInputError(f"num_classes must be >= 1, got {num_classes}")
+        _check_count("capacity", capacity, 0)
+        _check_count("num_classes", num_classes, 1)
         self.capacity = capacity
         self.num_classes = num_classes
         self.features: np.ndarray | None = None
@@ -123,12 +121,15 @@ class ReservoirBuffer:
                     features=None, labels=None, logits=None) -> "ReservoirBuffer":
         """A buffer whose filled slots hold the given rows, in slot order.
 
-        There must be min(num_seen, capacity) rows, and the logits must have
+        num_seen must be an integer >= 0, there must be min(num_seen,
+        capacity) rows (no arrays at all for none), and the logits must have
         num_classes columns; otherwise InvalidInputError.
         """
         buf = cls(capacity, num_classes)
+        _check_count("num_seen", num_seen, 0)
         n = min(num_seen, capacity)
-        given = None if features is None else (
+        columns = (features, labels, logits)
+        given = None if all(c is None for c in columns) else (
             np.shape(features)[:1], np.shape(labels), np.shape(logits))
         if given != (None if n == 0 else ((n,), (n,), (n, num_classes))):
             raise InvalidInputError(
@@ -174,6 +175,11 @@ def _copy_entry(buf: ReservoirBuffer, slot: int, entry: BufferEntry) -> None:
     buf.features[slot] = entry.features
     buf.labels[slot] = int(entry.label)
     buf.logits[slot] = entry.logits
+
+
+def _check_count(name: str, value, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise InvalidInputError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _rng_state_tuple(state):

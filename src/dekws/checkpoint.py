@@ -158,12 +158,12 @@ def _restore(header: dict, arrays: dict) -> tuple[TcResNet8, ReservoirBuffer | N
 
     A header value of the wrong type, a missing or unknown model_config
     key, a missing array, an array whose shape differs from the one
-    model_config gives (checked before the model is built), or a buffer
-    that breaks the reservoir invariant (min(num_seen, capacity) rows of
-    num_classes logits, as many as num_entries) raises KeyError,
-    IndexError, TypeError, ValueError or OverflowError, as do a model dtype
-    other than float32 or float64 and a buffer capacity too large to
-    allocate; a model too large to allocate raises MemoryError.
+    model_config gives (checked before the model is built), a num_entries
+    other than min(num_seen, capacity), or a buffer that
+    ReservoirBuffer.from_arrays rejects raises KeyError, IndexError,
+    TypeError, ValueError or OverflowError, as does a model dtype other
+    than float32 or float64; a model too large to allocate raises
+    MemoryError.
     """
     mc = header["model_config"]
     names = [f.name for f in dataclasses.fields(TcResNet8Config)]
@@ -183,14 +183,10 @@ def _restore(header: dict, arrays: dict) -> tuple[TcResNet8, ReservoirBuffer | N
     if bmeta is None:
         return model, None
     n = bmeta["num_entries"]
-    columns = [arrays[name] for name in BUFFER_ARRAYS if name in arrays]
-    if len(columns) != (len(BUFFER_ARRAYS) if n else 0) or any(len(c) != n for c in columns):
-        raise CheckpointError(
-            f"buffer header declares {n} entries, buffer arrays have shapes "
-            f"{[c.shape for c in columns]}"
-        )
+    if n != min(bmeta["num_seen"], bmeta["capacity"]):
+        raise ValueError(f"buffer header declares {n} entries, not min(num_seen, capacity)")
     buf = ReservoirBuffer.from_arrays(
         bmeta["capacity"], bmeta["num_classes"], bmeta["num_seen"], bmeta["rng_state"],
-        *columns,
+        *(arrays.get(name) for name in BUFFER_ARRAYS),
     )
     return model, buf

@@ -233,7 +233,11 @@ def read_experiment_config(path, seed_override: int | None = None,
     path = Path(path)
     if not path.is_file():
         raise InvalidConfigError(f"config file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidConfigError(f"{path}: cannot read as UTF-8 text ({exc})") from None
     return parse_experiment_config(
-        path.read_text(), source=str(path),
+        text, source=str(path),
         seed_override=seed_override, out_override=out_override,
     )

@@ -84,7 +84,10 @@ class TaskSpec:
 
 def read_wav_pcm16(path) -> Waveform:
     """Parse a mono 16 kHz 16-bit PCM WAV file; sample v maps to v/32768."""
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise InvalidDatasetError(f"{path}: cannot read ({exc.strerror or exc})") from None
     if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
         raise UnsupportedFormatError(f"{path}: not a RIFF/WAVE file (magic)")
     pos = 12
@@ -309,17 +312,9 @@ def _synthetic_manifest(spec: SyntheticSpec) -> Manifest:
     return Manifest(records)
 
 
-# Clips synthesized before the first of them is handed out; 16 one-second
-# clips hold 1 MB. With the frontend on its own threads, load_synthetic of
-# the 720 desk clips took a median 1.22 s synthesizing clip by clip, 1.17 s
-# at 16 and 1.13 s synthesizing everything first (7 runs each, overlapping
-# ranges), while 32 made the load hold about 0.8 MiB more.
-_SYNTH_BLOCK = 16
-
-
 def _synthetic_clips(spec: SyntheticSpec):
-    """Yield the waveform of each _synthetic_manifest record, in order,
-    synthesizing _SYNTH_BLOCK of them at a time.
+    """Yield the waveform of each _synthetic_manifest record, in order, as
+    soon as it is synthesized.
 
     Each example draws a random phase per component, an amplitude jitter of
     +/- amplitude_jitter, and white noise at noise_amplitude, all from the
@@ -328,7 +323,6 @@ def _synthetic_clips(spec: SyntheticSpec):
     """
     rng = numpy_stream(spec.seed, "synth")
     t = np.arange(spec.duration_samples, dtype=np.float64) / spec.sample_rate
-    block = []
     for record in _synthetic_manifest(spec).records:
         f1, f2 = spec.frequencies[record.class_id]
         phase1, phase2 = rng.uniform(0.0, 2.0 * np.pi, size=2)
@@ -344,11 +338,7 @@ def _synthetic_clips(spec: SyntheticSpec):
         # Quantize through int16 (as the WAV writer does) so in-memory
         # samples and a write/read round trip are byte-identical.
         ints = np.clip(np.round(signal * 32768.0), -32768, 32767).astype(np.int16)
-        block.append(Waveform(ints.astype(np.float32) / 32768.0, spec.sample_rate))
-        if len(block) == _SYNTH_BLOCK:
-            yield from block
-            block = []
-    yield from block
+        yield Waveform(ints.astype(np.float32) / 32768.0, spec.sample_rate)
 
 
 def synthesize_dataset(spec: SyntheticSpec) -> tuple[dict, Manifest]:

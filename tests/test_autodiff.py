@@ -433,7 +433,7 @@ class TestGraphRelease:
         leaves, interior = self._graph()
         interior[-1].backward()
         for node in interior:
-            assert node.grad is None and node._parents == ()
+            assert node.grad is None and node.node.parents == ()
         for leaf in leaves:
             assert leaf.grad is not None and leaf.grad.shape == leaf.shape
 
@@ -459,11 +459,11 @@ class TestGraphRelease:
         w = tensor(rng.standard_normal((4, 3, 3)), name="w")
         b = tensor(np.zeros(4), name="b")
         h = ad.conv1d(x, w, b, 1, padding)
-        assert h._parents == (w, b)
+        assert h.node.parents == (w.node, b.node)
         assert all(cell.cell_contents is not x for cell in h._backward.__closure__)
         stored = tensor(np.zeros((2, 4)), grad=False)
         loss = ad.mse_logit_loss(stored, ad.global_avg_pool(h))
-        assert loss._parents[0] is not stored and len(loss._parents) == 1
+        assert loss.node.parents[0] is not stored and len(loss.node.parents) == 1
         loss.backward()
         assert x.grad is None and w.grad is not None and b.grad is not None
 
@@ -498,13 +498,52 @@ class TestGraphHoldsNoValues:
     def test_unreferenced_intermediates_are_freed_while_the_graph_lives(self):
         loss, arrays, _, leaves = self._chain(keep_intermediates=False)
         assert all(ref() is None for ref in arrays)
-        assert loss._backward is not None and loss._parents
+        assert loss._backward is not None and loss.node.parents
         kept_loss, kept_arrays, kept, kept_leaves = self._chain(keep_intermediates=True)
         assert len(kept) == 2 and all(ref() is not None for ref in kept_arrays)
         loss.backward()
         kept_loss.backward()
         for got, want in zip(leaves, kept_leaves):
             assert got.grad.tobytes() == want.grad.tobytes(), got.name
+
+
+class TestGraphNodes:
+    """A tensor that takes a gradient owns a node; no other tensor has one."""
+
+    def test_tensor_without_a_gradient_has_no_node(self):
+        x = tensor(np.ones((2, 3)), grad=False)
+        assert x.node is None and x.grad is None and not x.requires_grad
+        with ad.no_grad():
+            out = ad.relu(tensor(np.ones((2, 3))))
+        assert out.node is None and out.grad is None and out._backward is None
+
+    def test_leaf_node_has_no_parents_and_no_closure(self):
+        x = tensor(np.ones(3))
+        assert x.node.parents == () and x._backward is None and x.grad is None
+        ad.tsum(ad.relu(x)).backward()
+        np.testing.assert_array_equal(x.grad, np.ones(3))
+        assert x.grad is x.node.grad
+
+    def test_setting_backward_replaces_the_closure_the_walk_calls(self):
+        # The benchmark tracer times each op's backward this way.
+        x = tensor(np.array([1.0, -2.0, 3.0]))
+        out = ad.relu(x)
+        original = out._backward
+        seen = []
+
+        def doubled(g):
+            seen.append(g.copy())
+            original(2.0 * g)
+
+        out._backward = doubled
+        assert out.node.backward is doubled
+        ad.tsum(out).backward()
+        assert len(seen) == 1
+        np.testing.assert_array_equal(x.grad, [2.0, 0.0, 2.0])
+
+    def test_backward_from_a_tensor_outside_any_graph_rejected(self):
+        with pytest.raises(InvalidInputError, match="takes a gradient"):
+            tensor(np.ones(()), grad=False).backward()
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,19 @@ class TestUniformity:
         for name in ("features", "labels", "logits"):
             assert getattr(buf, name).tobytes() == getattr(clone, name).tobytes(), name
 
+    @pytest.mark.parametrize("capacity, num_classes, num_seen", [
+        (4.0, 3, 0), (4, 3.0, 0), (4, 3, 0.0), (True, 3, 0), (4, 3, -1),
+    ])
+    def test_counters_must_be_integers(self, capacity, num_classes, num_seen):
+        with pytest.raises(InvalidInputError, match="must be an integer"):
+            ReservoirBuffer.from_arrays(capacity, num_classes, num_seen,
+                                        ReservoirBuffer(1, 1).rng.getstate())
+
+    def test_rows_given_for_an_empty_buffer_rejected(self):
+        with pytest.raises(InvalidInputError, match="min"):
+            ReservoirBuffer.from_arrays(4, 3, 0, ReservoirBuffer(1, 1).rng.getstate(),
+                                        labels=np.zeros(0, np.int64))
+
     def test_invalid_construction_rejected(self):
         with pytest.raises(InvalidInputError):
             ReservoirBuffer(capacity=-1, num_classes=3)

@@ -424,6 +424,29 @@ class TestBufferInvariant:
             load_checkpoint(path)
 
 
+class TestBufferCounters:
+    """A buffer header's counters are integers; a float one, even with an
+    integral value, fails the load instead of a later len() or insert()."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("num_seen", 0.0),
+        ("capacity", 5.0),
+        ("num_classes", 6.0),
+    ])
+    def test_float_counter_of_an_empty_buffer_rejected(self, tmp_path, field, value):
+        path = tmp_path / "empty_buffer.dkws"
+        save_checkpoint(path, trained_model(), buffer=filled_buffer(n=0))
+        assert load_checkpoint(path).buffer.num_seen == 0
+
+        def edit(header):
+            header["buffer"][field] = value
+            return header
+
+        rewrite_header(path, edit)
+        with pytest.raises(CheckpointError, match=f"does not fit.*{field} must be an integer"):
+            load_checkpoint(path)
+
+
 @pytest.fixture(scope="module")
 def small_checkpoint(tmp_path_factory):
     """(path, bytes) of a few-kilobyte checkpoint with a full buffer."""

@@ -16,7 +16,8 @@ import dekws.engine
 from dekws.checkpoint import load_checkpoint
 from dekws.cli import cmd_eval, main, run_digests
 from dekws.config import _KNOWN_KEYS, parse_experiment_config
-from dekws.dataset import SyntheticSpec, scan_gsc_layout
+from dekws.dataset import GSC_V1_WORDS, SyntheticSpec, scan_gsc_layout, write_wav_pcm16
+from dekws.dsp import Waveform
 from dekws.engine import TrainConfig, train_step
 from dekws.errors import CheckpointError, InvalidConfigError
 
@@ -304,6 +305,29 @@ class TestCmdRun:
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "none.cfg")]) == 2
+
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "latin1.cfg"
+        config.write_bytes(TINY_RUN_CONFIG.encode() + b"# \xff\n")
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{config}: cannot read" in err and "Traceback" not in err
+
+    def test_gsc_tree_with_an_unreadable_wav_exits_2(self, tmp_path, capsys):
+        root = tmp_path / "gsc"
+        for word in GSC_V1_WORDS:
+            (root / word).mkdir(parents=True)
+            for i in range(2):
+                write_wav_pcm16(root / word / f"{i}.wav", Waveform(np.zeros(16000), 16000))
+        entry = root / GSC_V1_WORDS[0] / "x.wav"
+        entry.mkdir()
+        config = tmp_path / "gsc.cfg"
+        config.write_text(f"dataset.kind = gsc\ndataset.gsc.root = {root}\n")
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{entry}: cannot read" in err and "Traceback" not in err
 
     def test_eval_on_saved_checkpoint(self, tmp_path, capsys):
         config = tmp_path / "exp.cfg"

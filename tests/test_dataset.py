@@ -159,6 +159,18 @@ class TestScanLayout:
         with pytest.raises(InvalidDatasetError, match=after_path(tmp_path, "class_01")):
             load_gsc(tmp_path, expected_words=words)
 
+    @pytest.mark.parametrize("make_entry", [
+        lambda path: path.mkdir(),                                 # a directory x.wav
+        lambda path: path.symlink_to(path.with_name("gone.wav")),  # a dangling symlink
+    ], ids=["directory", "dangling-symlink"])
+    def test_unreadable_wav_entry_rejected_by_path(self, tmp_path, make_entry):
+        spec = SyntheticSpec(num_classes=3, examples_per_class=4, seed=5)
+        write_synthetic_tree(spec, tmp_path)
+        entry = tmp_path / "class_01" / "x.wav"
+        make_entry(entry)
+        with pytest.raises(InvalidDatasetError, match=re.escape(f"{entry}: cannot read")):
+            load_gsc(tmp_path, expected_words=class_words(spec))
+
     def test_class_ids_follow_sorted_names(self, tmp_path):
         words = ["zebra", "apple", "mango"]
         self._make_tree(tmp_path, words, files_per_word=1)
