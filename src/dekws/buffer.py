@@ -123,7 +123,10 @@ class ReservoirBuffer:
 
         num_seen must be an integer >= 0, there must be min(num_seen,
         capacity) rows (no arrays at all for none), and the logits must have
-        num_classes columns; otherwise InvalidInputError.
+        num_classes columns; otherwise InvalidInputError. Rows that fill
+        every slot become the buffer's arrays (labels as int64) instead of
+        being copied, so the caller hands them over and must not write to
+        them afterwards; fewer rows are copied into capacity-row arrays.
         """
         buf = cls(capacity, num_classes)
         _check_count("num_seen", num_seen, 0)
@@ -139,7 +142,10 @@ class ReservoirBuffer:
             )
         buf.num_seen = num_seen
         buf.rng.setstate(_rng_state_tuple(rng_state))
-        if n:
+        if 0 < n == capacity:
+            buf.features, buf.logits = np.asarray(features), np.asarray(logits)
+            buf.labels = np.asarray(labels, dtype=np.int64)
+        elif n:
             buf._allocate(features[0], logits[0])
             buf.features[:n] = features
             buf.labels[:n] = labels

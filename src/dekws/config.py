@@ -234,7 +234,7 @@ def read_experiment_config(path, seed_override: int | None = None,
     if not path.is_file():
         raise InvalidConfigError(f"config file not found: {path}")
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")  # a byte-order mark is not a key
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidConfigError(f"{path}: cannot read as UTF-8 text ({exc})") from None
     return parse_experiment_config(

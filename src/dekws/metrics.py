@@ -12,11 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
 from .dataset import TaskSpec
 from .errors import InvalidInputError, UndefinedMetricError
-
-EVAL_CHUNK = 256  # examples per no-grad eval forward
 
 
 @dataclass
@@ -61,14 +58,8 @@ def evaluate_task_accuracy(model, task: TaskSpec, features: np.ndarray,
         raise InvalidInputError(
             f"task {task.task_id} has an empty validation set"
         )
-    correct = 0
-    with ad.no_grad():
-        for start in range(0, len(features), EVAL_CHUNK):
-            chunk = features[start : start + EVAL_CHUNK]
-            logits = model.forward(chunk, training=False)
-            pred = np.argmax(logits.data, axis=1)
-            correct += int((pred == labels[start : start + EVAL_CHUNK]).sum())
-    return correct / len(features)
+    pred = np.argmax(model.forward(features, training=False).data, axis=1)
+    return int((pred == labels).sum()) / len(features)
 
 
 def compute_acc(matrix: AccuracyMatrix) -> float:

@@ -26,6 +26,8 @@ from . import autodiff as ad
 from .errors import InvalidInputError, InvalidShapeError
 from .rng import numpy_stream
 
+EVAL_CHUNK = 256  # examples per eval-mode forward pass
+
 
 @dataclass(frozen=True)
 class TcResNet8Config:
@@ -185,6 +187,11 @@ class TcResNet8:
         stats to those of one train-mode pass over the buffer, so eval mode
         on the buffer's features reproduces that pass exactly. DER's
         reference code keeps the framework's momentum average instead.
+
+        Eval mode builds no graph and runs EVAL_CHUNK examples at a time
+        into one logits array, so its activations are bounded whatever N
+        is; each example's logits do not depend on the rows beside it, so
+        the chunking does not change them.
         """
         features = np.asarray(features)
         if features.ndim != 3 or features.shape[2] != self.cfg.input_channels:
@@ -192,6 +199,16 @@ class TcResNet8:
                 f"expected features (N, frames, {self.cfg.input_channels}), "
                 f"got {features.shape}"
             )
+        if training:  # batch norm couples the rows, so the batch runs whole
+            return self._logits(features, training)
+        logits = np.empty((len(features), self.cfg.num_classes), dtype=self.dtype)
+        with ad.no_grad():
+            for start in range(0, len(features), EVAL_CHUNK):
+                chunk = features[start : start + EVAL_CHUNK]
+                logits[start : start + EVAL_CHUNK] = self._logits(chunk, training).data
+        return ad.Tensor(logits)
+
+    def _logits(self, features: np.ndarray, training: bool) -> ad.Tensor:
         x = ad.Tensor(features.transpose(0, 2, 1).astype(self.dtype, copy=False))
         h = ad.relu(self.stem_bn(self.stem_conv(x), training))
         for block in self.blocks:

@@ -127,6 +127,22 @@ def test_de_kws_step_runs_three_train_passes_inside_the_step():
     assert sum(s[tracing.SIZE] for s in passes) == 3 * batch
 
 
+def test_chunked_eval_forward_opens_one_span():
+    # model.forward.eval.ms_per_clip divides the eval spans' time by their
+    # sizes; a span per chunk inside the call's span would count rows twice.
+    net = TcResNet8(TcResNet8Config(num_classes=4), seed=0)
+    features = np.random.default_rng(0).standard_normal((600, 98, 40))
+    tracer = tracing.Tracer()
+    with tracing.Instrumented(tracer, full=True):
+        net.forward(features, training=False)
+    forwards = [i for i, s in enumerate(tracer.spans) if s[tracing.NAME].startswith("model.")]
+    assert [tracer.spans[i][tracing.NAME] for i in forwards] == ["model.forward.eval"]
+    assert tracer.spans[forwards[0]][tracing.SIZE] == 600
+    convs = [s for s in tracer.spans if s[tracing.NAME] == "autodiff.conv1d.fwd"]
+    assert len(convs) == 10 * 3  # ten convs, in chunks of 256, 256 and 88 rows
+    assert all(s[tracing.PARENT] == forwards[0] for s in convs)
+
+
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_every_workload_runs_at_smoke_size(name, tmp_path):
     # Goes through run_baseline, BufferEntry inserts and buffer_hash as the

@@ -160,16 +160,31 @@ class TestUniformity:
         for i in range(50):
             buf.insert(entry(i))
         n = len(buf)
+        # A full buffer's rows are handed over, not copied, so the clone gets
+        # copies of them: it must not share buf's arrays.
         clone = ReservoirBuffer.from_arrays(
             buf.capacity, buf.num_classes, buf.num_seen, buf.rng.getstate(),
-            buf.features[:n], buf.labels[:n], buf.logits[:n],
+            buf.features[:n].copy(), buf.labels[:n].copy(), buf.logits[:n].copy(),
         )
+        assert not np.shares_memory(clone.features, buf.features)
         assert (len(clone), clone.num_seen) == (len(buf), buf.num_seen)
         for i in range(50, 120):
             buf.insert(entry(i))
             clone.insert(entry(i))
         for name in ("features", "labels", "logits"):
             assert getattr(buf, name).tobytes() == getattr(clone, name).tobytes(), name
+
+    def test_rows_that_fill_every_slot_are_adopted(self):
+        rows = np.arange(4 * 2 * 3, dtype=np.float32).reshape(4, 2, 3)
+        labels, logits = np.arange(4, dtype=np.int32), np.ones((4, 3))
+        state = ReservoirBuffer(1, 1).rng.getstate()
+        full = ReservoirBuffer.from_arrays(4, 3, 9, state, rows, labels, logits)
+        assert full.features is rows and full.logits is logits
+        assert full.labels.dtype == np.int64 and full.labels.tolist() == [0, 1, 2, 3]
+        part = ReservoirBuffer.from_arrays(6, 3, 4, state, rows, labels, logits)
+        assert part.features.shape == (6, 2, 3) and part.features.dtype == np.float32
+        assert not np.shares_memory(part.features, rows)
+        assert part.features[:4].tobytes() == rows.tobytes()
 
     @pytest.mark.parametrize("capacity, num_classes, num_seen", [
         (4.0, 3, 0), (4, 3.0, 0), (4, 3, 0.0), (True, 3, 0), (4, 3, -1),

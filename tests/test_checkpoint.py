@@ -1,6 +1,7 @@
 """Checkpoint container: bit-exact round trips for model and buffer."""
 
 import json
+import random
 import re
 import struct
 import tracemalloc
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from dekws.buffer import BufferEntry, ReservoirBuffer
 from dekws.checkpoint import load_checkpoint, save_checkpoint
+from dekws.cli import run_digests
 from dekws.errors import CheckpointError
 from dekws.model import TcResNet8, TcResNet8Config
 
@@ -115,6 +117,40 @@ class TestBufferRoundTrip:
             loaded.buffer.insert(entry)
         assert buf.logits[:len(buf)].tobytes() == \
             loaded.buffer.logits[:len(loaded.buffer)].tobytes()
+
+    @pytest.mark.parametrize("offers", [4, 6, 9])  # partly filled, just full, full
+    def test_digest_and_draws_survive(self, tmp_path, offers):
+        model, buf = trained_model(), filled_buffer(n=offers)
+        path = tmp_path / "with_buffer.dkws"
+        save_checkpoint(path, model, buffer=buf)
+        loaded = load_checkpoint(path).buffer
+        digests = [run_digests(model, b)["buffer_sha256"] for b in (buf, loaded)]
+        assert digests[0] == digests[1]
+        for k in (1, 3, 6):
+            draws = [b.sample_batch(k, random.Random(k)) for b in (buf, loaded)]
+            for mine, theirs in zip(*draws):
+                assert mine.tobytes() == theirs.tobytes()
+
+    def test_full_float64_buffer_is_held_once_while_loading(self, tmp_path):
+        # 200 float64 rows of (98, 40) features are 6.3 MiB of the 6.55 MiB
+        # file; holding them twice would peak near 13 MiB.
+        model = trained_model(num_classes=30)
+        buf = ReservoirBuffer(capacity=200, num_classes=30, seed=5)
+        rng = np.random.default_rng(6)
+        for i in range(250):
+            buf.insert(BufferEntry(rng.standard_normal((98, 40)), i % 30,
+                                   rng.standard_normal(30)))
+        path = tmp_path / "full.dkws"
+        save_checkpoint(path, model, buffer=buf)
+        del buf
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(loaded.buffer) == 200
+        assert peak <= 1.2 * path.stat().st_size, peak / path.stat().st_size
 
     def test_empty_buffer_round_trips(self, tmp_path):
         model = trained_model()

@@ -15,7 +15,7 @@ import dekws.cli
 import dekws.engine
 from dekws.checkpoint import load_checkpoint
 from dekws.cli import cmd_eval, main, run_digests
-from dekws.config import _KNOWN_KEYS, parse_experiment_config
+from dekws.config import _KNOWN_KEYS, parse_experiment_config, read_experiment_config
 from dekws.dataset import GSC_V1_WORDS, SyntheticSpec, scan_gsc_layout, write_wav_pcm16
 from dekws.dsp import Waveform
 from dekws.engine import TrainConfig, train_step
@@ -314,6 +314,22 @@ class TestCmdRun:
         err = capsys.readouterr().err
         assert f"{config}: cannot read" in err and "Traceback" not in err
 
+    def test_config_with_a_byte_order_mark_reads_as_without(self, tmp_path):
+        text = TINY_RUN_CONFIG.replace("# tiny smoke experiment\n", "").lstrip()
+        assert text.startswith("seed = 3")
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_text(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert read_experiment_config(marked) == read_experiment_config(plain)
+
+    def test_config_with_a_byte_order_mark_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "bom-latin1.cfg"
+        config.write_bytes(b"\xef\xbb\xbf" + TINY_RUN_CONFIG.encode() + b"# \xff\n")
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{config}: cannot read" in err and "Traceback" not in err
+
     def test_gsc_tree_with_an_unreadable_wav_exits_2(self, tmp_path, capsys):
         root = tmp_path / "gsc"
         for word in GSC_V1_WORDS:
@@ -590,6 +606,15 @@ class TestCmdGradcheck:
         assert main(["gradcheck"]) == 1
         failed = capsys.readouterr().out.split("gradient check failed for:")[1]
         assert op in failed.strip().split(", ")
+
+    def test_runs_as_python_dash_m_dekws(self):
+        src = str(Path(dekws.cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-m", "dekws", "gradcheck"], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert "full_model" in done.stdout
 
     def test_repeat_runs_report_identical_errors(self, capsys):
         from dekws.cli import gradcheck_suite

@@ -1,11 +1,13 @@
 """Backbone wiring: parameter budget, shapes, determinism, eval purity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import dekws.autodiff as ad
 from dekws.errors import InvalidInputError, InvalidShapeError
-from dekws.model import TcResNet8, TcResNet8Config, state_shapes
+from dekws.model import EVAL_CHUNK, TcResNet8, TcResNet8Config, state_shapes
 
 # Reconstructed budget for 30 classes: stem 1,968 + blocks (9,240 + 17,184 +
 # 36,528) + head 1,470 = 66,390, within 5% of the reported 64.48K.
@@ -130,6 +132,45 @@ class TestForward:
         model = TcResNet8(TcResNet8Config(num_classes=12), seed=0, dtype=np.float32)
         out = model.forward(np.zeros((2, 98, 40)), training=False)
         assert out.data.dtype == np.float32
+
+
+class TestEvalChunks:
+    """Eval mode runs EVAL_CHUNK examples at a time into one logits array."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_chunked_eval_equals_its_chunks_and_single_rows(self, dtype):
+        assert EVAL_CHUNK == 256
+        model = TcResNet8(TcResNet8Config(num_classes=30), seed=7, dtype=dtype)
+        xs = np.random.default_rng(8).standard_normal((1000, 98, 40)).astype(dtype)
+        out = model.forward(xs, training=False)  # gradients enabled
+        assert out.node is None and out.shape == (1000, 30) and out.dtype == dtype
+        assert all(p.grad is None for p in model.parameters)
+        chunks = [model.forward(xs[i : i + 256], training=False).data
+                  for i in range(0, 1000, 256)]
+        assert out.data.tobytes() == np.concatenate(chunks).tobytes()
+        for i in (0, 255, 256, 511, 768, 999):
+            alone = model.forward(xs[i : i + 1], training=False).data
+            assert alone.tobytes() == out.data[i : i + 1].tobytes(), i
+
+    def test_empty_eval_batch_gives_no_rows(self):
+        model = TcResNet8(TcResNet8Config(num_classes=12), seed=0)
+        assert model.forward(np.zeros((0, 98, 40)), training=False).shape == (0, 12)
+
+    def test_eval_peak_does_not_grow_with_the_batch(self):
+        model = TcResNet8(TcResNet8Config(num_classes=30), seed=0, dtype=np.float64)
+        xs = np.random.default_rng(9).standard_normal((1024, 98, 40))
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                model.forward(xs[:n], training=False)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(256), peak(1024)
+        logits = 1024 * 30 * 8
+        assert large <= 1.3 * (small + logits), (large / small)
 
 
 class TestStateArrays:
